@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 from .ecgraph import EdgeColouredGraph
 from .group import GroupSpec
-from .setalg import GroupSubset, is_sum_free
+from .setalg import GroupSubset
 
 VIOLATION_JSON_CAP = 20
 
@@ -65,13 +65,24 @@ def verify_flip(
     g: EdgeColouredGraph,
     expected: Optional[Sequence[int]] = None,
 ) -> FlipReport:
-    """Brute-force flip check: colour regularity, increasing degrees, strict chains."""
+    """Brute-force flip check: colour regularity, increasing degrees, strict chains.
+
+    Makes a single pass over the vertices: degrees and closed counts both come
+    from each vertex's profile, so callers that audit a graph against a
+    predicted uniform profile can read it from the report without profiling
+    the graph again.
+    """
     if expected is not None and len(expected) != g.colour_count:
         raise ValueError(
             f"expected degree vector has length {len(expected)}, graph has {g.colour_count} colours")
     violations: list[tuple[Optional[int], str]] = []
 
-    degrees = [g.degree_vector(v) for v in range(g.vertex_count)]
+    degrees = []
+    chains = []
+    for v in range(g.vertex_count):
+        profile = g.vertex_profile(v)
+        degrees.append(profile.deg)
+        chains.append(profile.e_closed)
     base = degrees[0] if degrees else tuple([0] * g.colour_count)
     regular = True
     for v, d in enumerate(degrees):
@@ -83,13 +94,8 @@ def verify_flip(
     if regular and expected is not None and base != tuple(expected):
         violations.append((None, "degrees-not-expected"))
 
-    chains = []
-    uniform = True
-    for v in range(g.vertex_count):
-        e = g.vertex_profile(v).e_closed
-        chains.append(e)
-        if e != chains[0]:
-            uniform = False
+    uniform = all(e == chains[0] for e in chains)
+    for v, e in enumerate(chains):
         if any(e[i] <= e[i + 1] for i in range(len(e) - 1)):
             violations.append((v, "chain-not-strict"))
 
@@ -148,16 +154,12 @@ def new_bound(b: int, r: int) -> int:
     return 8 * parity_factor(b, r) * base
 
 
-def qk_bounds(k: int, literal_lower: bool = False) -> tuple[int, int]:
-    """(lower, exclusive upper) bounds on the largest feasible preserved prefix q(k).
-
-    literal_lower=True reproduces the degenerate min form of the lower bound
-    instead of the max form used everywhere else in this package.
-    """
+def qk_bounds(k: int) -> tuple[int, int]:
+    """(lower, exclusive upper) bounds on the largest feasible preserved prefix q(k)."""
     if k < 4:
         raise ValueError(f"k >= 4 required, got k={k}")
     ceil_quarter = -(-k // 4)
-    lower = min(1, ceil_quarter - 1) if literal_lower else max(1, ceil_quarter - 1)
+    lower = max(1, ceil_quarter - 1)
     if k % 3 == 0:
         upper = k // 3
     else:
@@ -301,9 +303,3 @@ def search_sumfree_inverse_closed(
         budget_exhausted=exhausted,
         examined=examined,
     )
-
-
-def assert_sum_free(subset: GroupSubset, label: str) -> None:
-    """Raise with a clear message when a set that must be sum-free is not."""
-    if not is_sum_free(subset):
-        raise ValueError(f"{label} is not sum-free")

@@ -2,7 +2,8 @@
 
 Subcommands wrap the library one-to-one and stay deterministic: identical
 flags produce byte-identical JSON and CSV. Exit codes: 0 success or verdict
-pass, 1 verdict fail, 2 usage or domain error.
+pass, 1 verdict fail, 2 usage or domain error, malformed input and files
+that cannot be read or written included.
 """
 
 from __future__ import annotations
@@ -214,18 +215,8 @@ def _cmd_gaps_plan(args: argparse.Namespace) -> int:
     else:
         print(f"materialization feasible: estimated order {plan.order_estimate} <= limit {limit}")
 
-    problems = []
-    if q <= 1 or 4 * q >= k:
-        problems.append(f"q={q} outside 1 < q < k/4 for k={k}")
-    if plan.gap_slack <= 0:
-        problems.append(f"gap condition fails with slack {plan.gap_slack}")
-    if plan.t < plan.t_min:
-        problems.append(f"t={plan.t} below minimum {plan.t_min}")
-    if plan.first_chain_violation is not None:
-        kind, colour = plan.first_chain_violation
-        problems.append(f"predicted {kind} chain breaks between colours {colour} and {colour + 1}")
-    if problems:
-        for problem in problems:
+    if plan.problems:
+        for problem in plan.problems:
             print(f"plan invalid: {problem}")
         return 1
     print("plan valid")
@@ -330,7 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -84,10 +84,6 @@ class EdgeColouredGraph:
         self._check_vertex(v)
         return self._adj[v]
 
-    def edge_colour(self, u: int, v: int):
-        key = (u, v) if u < v else (v, u)
-        return self._pair.get(key)
-
     def closed_neighbourhood(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
         return frozenset([v] + [w for w, _ in self._adj[v]])
@@ -156,14 +152,6 @@ class EdgeColouredGraph:
             raise ValueError(f"cannot shrink colour count {self.colour_count} to {colour_count}")
         return EdgeColouredGraph(self.vertex_count, colour_count, self.edges)
 
-    def relabelled(self, perm: Sequence[int]) -> "EdgeColouredGraph":
-        """Apply a vertex permutation (perm[v] is the new name of v)."""
-        if sorted(perm) != list(range(self.vertex_count)):
-            raise ValueError("relabelling must be a permutation of all vertices")
-        return EdgeColouredGraph(
-            self.vertex_count, self.colour_count,
-            [(perm[u], perm[v], c) for u, v, c in self.edges])
-
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):
             raise ValueError(f"vertex {v} outside 0..{self.vertex_count - 1}")
@@ -186,8 +174,11 @@ class EdgeColouredGraph:
             edges = [tuple(e) for e in data["edges"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph JSON: {exc}") from None
+        if type(vertices) is not int or type(colours) is not int:
+            raise ValueError(
+                f"vertices and colours must be integers, got {vertices!r} and {colours!r}")
         for e in edges:
-            if len(e) != 3:
+            if len(e) != 3 or any(type(x) is not int for x in e):
                 raise ValueError(f"malformed edge entry {e!r}")
         return EdgeColouredGraph(vertices, colours, edges)
 

@@ -61,11 +61,6 @@ class GroupSpec:
     def sub(self, x: ElementLike, y: ElementLike) -> GroupElement:
         return self.add(x, self.neg(y))
 
-    def is_involution(self, x: ElementLike) -> bool:
-        """True when x is its own inverse and not the identity."""
-        a = self.element(x)
-        return a != self.identity and self.add(a, a) == self.identity
-
     def elements(self, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[GroupElement]:
         """Enumerate all elements in lexicographic order, identity first."""
         if self.order > limit:

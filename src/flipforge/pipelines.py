@@ -291,15 +291,32 @@ def _layer_classes(k: int, q: int) -> ColouredConnectingSet:
     return ColouredConnectingSet.of(spec, classes, colour_count=k - 1)
 
 
-def _verify_layer(graph: EdgeColouredGraph, k: int, q: int) -> None:
-    sizes = _layer_sizes(k, q)
-    expected_deg = [0] * (q) + sizes + [0] * (graph.colour_count - (k - 1))
-    expected_deg = tuple(expected_deg[: graph.colour_count])
-    for v in range(graph.vertex_count):
-        profile = graph.vertex_profile(v)
-        if profile.deg != expected_deg or profile.e_closed != expected_deg:
-            raise VerificationError(
-                f"layer profile mismatch at vertex {v}: deg={profile.deg} e={profile.e_closed}")
+def _expect_profile(
+    g: EdgeColouredGraph,
+    deg: Sequence[int],
+    e: Sequence[int],
+    label: str,
+    error: type[Exception] = VerificationError,
+) -> None:
+    """Raise unless every vertex of g has degree vector deg and closed counts e."""
+    deg, e = tuple(deg), tuple(e)
+    for v in range(g.vertex_count):
+        profile = g.vertex_profile(v)
+        if profile.deg != deg or profile.e_closed != e:
+            raise error(
+                f"{label} profile mismatch at vertex {v}: "
+                f"deg={profile.deg} e={profile.e_closed}, expected deg={deg} e={e}")
+
+
+def _build_layer(k: int, q: int) -> EdgeColouredGraph:
+    """The layer Cayley graph, sum-free check and per-vertex audit included; no range check."""
+    ccs = _layer_classes(k, q)
+    if not is_sum_free(ccs.union_elements()):
+        raise VerificationError(f"layer connecting set for k={k} q={q} is not sum-free")
+    graph = cayley_build(ccs)
+    expected = (0,) * q + tuple(_layer_sizes(k, q))
+    _expect_profile(graph, expected, expected, "layer")
+    return graph
 
 
 def build_sumfree_layer(k: int, q: int) -> EdgeColouredGraph:
@@ -309,12 +326,7 @@ def build_sumfree_layer(k: int, q: int) -> EdgeColouredGraph:
     the per-vertex profile equalities are verified exhaustively.
     """
     _check_gaps_range(k, q)
-    ccs = _layer_classes(k, q)
-    if not is_sum_free(ccs.union_elements()):
-        raise VerificationError(f"layer connecting set for k={k} q={q} is not sum-free")
-    graph = cayley_build(ccs)
-    _verify_layer(graph, k, q)
-    return graph
+    return _build_layer(k, q)
 
 
 def _check_gaps_range(k: int, q: int) -> None:
@@ -361,6 +373,21 @@ class GapsPlan:
         out = []
         for j in range(1, self.k - self.q + 1):
             out.extend([self.q + j] * (self.t + j - 1))
+        return tuple(out)
+
+    @property
+    def problems(self) -> tuple[str, ...]:
+        """Every condition this plan fails; empty when the plan is valid."""
+        out = []
+        if self.q <= 1 or 4 * self.q >= self.k:
+            out.append(f"q={self.q} outside 1 < q < k/4 for k={self.k}")
+        if self.gap_slack <= 0:
+            out.append(f"gap condition fails with slack {self.gap_slack}")
+        if self.t < self.t_min:
+            out.append(f"t={self.t} below minimum {self.t_min}")
+        if self.first_chain_violation is not None:
+            kind, colour = self.first_chain_violation
+            out.append(f"predicted {kind} chain breaks between colours {colour} and {colour + 1}")
         return tuple(out)
 
     def to_json_dict(self) -> dict:
@@ -552,15 +579,10 @@ def _verify_prefix_graph(prefix: EdgeColouredGraph, plan: GapsPlan) -> None:
     if plan.prefix_order is not None and prefix.vertex_count != plan.prefix_order:
         raise ValueError(
             f"prefix graph has {prefix.vertex_count} vertices, plan recorded {plan.prefix_order}")
-    expected_deg = tuple(plan.prefix_deg) + (0,) * (prefix.colour_count - plan.q)
-    expected_e = tuple(plan.prefix_e) + (0,) * (prefix.colour_count - plan.q)
-    for v in range(prefix.vertex_count):
-        profile = prefix.vertex_profile(v)
-        if profile.deg != expected_deg or profile.e_closed != expected_e:
-            raise ValueError(
-                f"prefix graph profile mismatch at vertex {v}: "
-                f"deg={profile.deg} e={profile.e_closed}, "
-                f"expected deg={expected_deg} e={expected_e}")
+    padding = (0,) * (prefix.colour_count - plan.q)
+    _expect_profile(
+        prefix, tuple(plan.prefix_deg) + padding, tuple(plan.prefix_e) + padding,
+        "prefix graph", ValueError)
 
 
 def build_gaps(
@@ -572,26 +594,18 @@ def build_gaps(
 
     Always verifies the prefix against the plan profile and builds the
     Cartesian core (prefix times layer), auditing the core's profile at every
-    vertex. The full strong product is materialised and profile-audited only
-    when its order fits within materialize_limit.
+    vertex. The full strong product is materialised only when its order fits
+    within materialize_limit; its audit reads the single per-vertex profile
+    pass of verify_flip, whose report must show the predicted degrees and a
+    uniform closed-count chain equal to the predicted one.
     """
     q, k = plan.q, plan.k
     _verify_prefix_graph(prefix, plan)
-
-    ccs = _layer_classes(k, q)
-    if not is_sum_free(ccs.union_elements()):
-        raise VerificationError(f"layer connecting set for k={k} q={q} is not sum-free")
-    layer = cayley_build(ccs)
-    _verify_layer(layer, k, q)
+    layer = _build_layer(k, q)
 
     core = cartesian_product(prefix.with_colour_count(k), layer.with_colour_count(k))
-    core_chain = tuple(_full_closed_chain(k, q, plan.prefix_e))
     core_deg = tuple(plan.prefix_deg) + tuple(k - j for j in range(q + 1, k)) + (0,)
-    for v in range(core.vertex_count):
-        profile = core.vertex_profile(v)
-        if profile.deg != core_deg or profile.e_closed != core_chain:
-            raise VerificationError(
-                f"core profile mismatch at vertex {v}: deg={profile.deg} e={profile.e_closed}")
+    _expect_profile(core, core_deg, _full_closed_chain(k, q, plan.prefix_e), "core")
 
     amplifier = bipartite_matching_graph(MatchingColourPlan(
         part_size=plan.part_size,
@@ -610,14 +624,10 @@ def build_gaps(
         )
 
     graph = strong_product(amplifier, core)
-    for v in range(graph.vertex_count):
-        profile = graph.vertex_profile(v)
-        if profile.deg != plan.deg_at_t or profile.e_closed != plan.e_at_t:
-            raise VerificationError(
-                f"amplified profile mismatch at vertex {v}: "
-                f"deg={profile.deg} e={profile.e_closed}, "
-                f"predicted deg={plan.deg_at_t} e={plan.e_at_t}")
     report = verify_flip(graph)
+    if report.colour_degrees != plan.deg_at_t or report.uniform_e_chain != plan.e_at_t:
+        # Profile again only to name the first vertex that breaks the prediction.
+        _expect_profile(graph, plan.deg_at_t, plan.e_at_t, "amplified")
     return GapsResult(
         plan=plan,
         materialized=True,

@@ -76,14 +76,6 @@ def is_inverse_closed(a: GroupSubset) -> bool:
     return a.elements == inverses(a).elements
 
 
-def set_less(a: GroupSubset, b: GroupSubset) -> bool:
-    """Strict elementwise order over a single cyclic factor: every x < every y."""
-    _check_same_spec(a, b)
-    if len(a.spec.factors) != 1:
-        raise ValueError("set_less is defined for single cyclic factor groups only")
-    return all(x[0] < y[0] for x in a.elements for y in b.elements)
-
-
 @dataclass(frozen=True)
 class ResidueInterval:
     """Integer interval {lo, ..., hi} of residues mod n, 0 <= lo <= hi < n."""
@@ -109,11 +101,6 @@ class ResidueInterval:
 def interval_elements(interval: ResidueInterval) -> GroupSubset:
     spec = cyclic(interval.n)
     return GroupSubset.of(spec, range(interval.lo, interval.hi + 1))
-
-
-def doubled(a: GroupSubset) -> GroupSubset:
-    """The sumset a + a."""
-    return sumset(a, a)
 
 
 @dataclass(frozen=True)
@@ -186,7 +173,7 @@ def interval_sumset_check(
     b_base = interval_elements(b0)
     b1_base = interval_elements(b1)
     a_set = a_base.union(inverses(a_base))
-    two_b1 = doubled(b1_base)
+    two_b1 = sumset(b1_base, b1_base)
     b_set = b_base.union(inverses(b_base)).union(two_b1).union(inverses(two_b1))
 
     half = GroupSubset.of(spec, [n // 2])

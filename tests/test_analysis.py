@@ -7,7 +7,6 @@ import pytest
 from flipforge.analysis import (
     EXHAUSTIVE_ORDER_CAP,
     VIOLATION_JSON_CAP,
-    assert_sum_free,
     bounds_table,
     bounds_to_csv,
     check_br_range,
@@ -159,7 +158,6 @@ def test_qk_bounds():
     assert qk_bounds(8) == (1, 4)
     assert qk_bounds(9) == (2, 3)
     assert qk_bounds(12) == (2, 4)
-    assert qk_bounds(9, literal_lower=True) == (1, 3)
     with pytest.raises(ValueError):
         qk_bounds(3)
     for k in range(4, 61):
@@ -281,9 +279,3 @@ def test_search_greedy_large_group():
 def test_search_mode_validation():
     with pytest.raises(ValueError):
         search_sumfree_inverse_closed(cyclic(8), mode="annealing")
-
-
-def test_assert_sum_free():
-    assert_sum_free(GroupSubset.of(cyclic(8), [1, 7]), "ok set")
-    with pytest.raises(ValueError, match="red class"):
-        assert_sum_free(GroupSubset.of(cyclic(8), [1, 2]), "red class")

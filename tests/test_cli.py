@@ -95,6 +95,24 @@ def test_verify_malformed_input(tmp_path, capsys):
     assert rc == 2
 
 
+VERIFY_G = ["verify", "--in", "{tmp}/g.json"]
+
+
+@pytest.mark.parametrize("graph, argv", [
+    ({"vertices": "3", "colours": 1, "edges": []}, VERIFY_G),
+    ({"vertices": 3, "colours": 1, "edges": [[0, 1.0, 1]]}, VERIFY_G),
+    ({"vertices": 3, "colours": 1, "edges": [[0, "1", 1]]}, VERIFY_G),
+    (None, ["bounds", "--b", "4", "--out", "{tmp}"]),
+    (None, ["construct-br", "--b", "4", "--r", "5", "--out", "{tmp}/missing/x.json"]),
+], ids=["string-vertices", "float-endpoint", "string-endpoint", "out-is-dir", "out-dir-missing"])
+def test_bad_input_or_output_exits_2(tmp_path, capsys, graph, argv):
+    """Malformed graph JSON or an unwritable --out is a usage error, never exit 1."""
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    rc, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert rc == 2
+    assert err.startswith("error:")
+
+
 def test_product_command(tmp_path, capsys):
     left = tmp_path / "k2_blue.json"
     right = tmp_path / "k2_red.json"

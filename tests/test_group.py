@@ -60,18 +60,6 @@ def test_group_axioms_random():
         assert spec.add(x, y) == spec.add(y, x)
 
 
-def test_is_involution():
-    z8 = cyclic(8)
-    assert z8.is_involution(4)
-    assert not z8.is_involution(0)
-    assert not z8.is_involution(2)
-    spec = GroupSpec((2, 6))
-    assert spec.is_involution((1, 0))
-    assert spec.is_involution((1, 3))
-    assert spec.is_involution((0, 3))
-    assert not spec.is_involution((0, 2))
-
-
 def test_elements_enumeration():
     spec = GroupSpec((2, 3))
     got = list(spec.elements())

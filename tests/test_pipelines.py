@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import flipforge.pipelines as pipelines
 from flipforge.analysis import new_bound, parity_factor
 from flipforge.ecgraph import EdgeColouredGraph
 from flipforge.group import GroupSpec, cyclic
@@ -170,7 +171,8 @@ def test_layer_classes_9_2():
     assert got[8] == [(1, 0, 10)]
     # odd-sized classes end on an involution
     assert got[4][0] == (0, 0, 10)
-    assert got[6][-1] != ccs.spec.neg(got[6][-1]) or ccs.spec.is_involution(got[6][-1])
+    last = got[6][-1]
+    assert last != ccs.spec.neg(last) or ccs.spec.add(last, last) == ccs.spec.identity
 
 
 def test_build_sumfree_layer_9_2():
@@ -345,6 +347,35 @@ def test_build_gaps_respects_limit():
     assert result.flip_report is None
     assert result.g_order == 960
     assert result.core.vertex_count == 160
+
+
+def test_build_gaps_profiles_each_vertex_once(monkeypatch):
+    """Prefix, layer and core are audited once each; the amplified graph's
+    audit reads verify_flip's pass instead of profiling every vertex again."""
+    prefix, plan = small_relaxed_case()
+    calls = []
+    profile = EdgeColouredGraph.vertex_profile
+
+    def counting_profile(self, v):
+        calls.append(v)
+        return profile(self, v)
+
+    monkeypatch.setattr(EdgeColouredGraph, "vertex_profile", counting_profile)
+    build_gaps(plan, prefix)
+    assert len(calls) == 40 + 4 + 160 + 960
+
+
+def test_build_gaps_amplified_mismatch_names_vertex(monkeypatch):
+    prefix, plan = small_relaxed_case()
+    product = pipelines.strong_product
+
+    def lossy_product(g, h):
+        full = product(g, h)
+        return EdgeColouredGraph(full.vertex_count, full.colour_count, full.edges[1:])
+
+    monkeypatch.setattr(pipelines, "strong_product", lossy_product)
+    with pytest.raises(VerificationError, match="amplified profile mismatch at vertex 0:"):
+        build_gaps(plan, prefix)
 
 
 def test_build_gaps_prefix_mismatch():

@@ -9,13 +9,11 @@ from flipforge.setalg import (
     GroupSubset,
     IntervalSumsetReport,
     ResidueInterval,
-    doubled,
     interval_elements,
     interval_sumset_check,
     inverses,
     is_inverse_closed,
     is_sum_free,
-    set_less,
     sumset,
 )
 
@@ -91,15 +89,6 @@ def test_middle_third_is_sum_free():
         assert is_sum_free(interval_elements(ResidueInterval(m, lo, hi)))
 
 
-def test_set_less():
-    spec = cyclic(10)
-    assert set_less(GroupSubset.of(spec, [1, 2]), GroupSubset.of(spec, [3, 4]))
-    assert not set_less(GroupSubset.of(spec, [1, 5]), GroupSubset.of(spec, [3, 4]))
-    two = GroupSpec((2, 5))
-    with pytest.raises(ValueError):
-        set_less(GroupSubset.of(two, [(0, 1)]), GroupSubset.of(two, [(0, 2)]))
-
-
 def test_residue_interval_validation():
     assert ResidueInterval(40, 6, 7).size == 2
     assert ResidueInterval(8, 3, 3).size == 1
@@ -117,14 +106,6 @@ def test_interval_elements():
     got = interval_elements(ResidueInterval(40, 6, 8))
     assert got.sorted_elements() == [(6,), (7,), (8,)]
     assert got.spec == cyclic(40)
-
-
-def test_doubled_is_self_sumset():
-    rng = random.Random(79)
-    for _ in range(20):
-        spec = cyclic(rng.randint(4, 16))
-        a = random_subset(rng, spec)
-        assert doubled(a) == sumset(a, a)
 
 
 def test_interval_check_landmark_configs():
