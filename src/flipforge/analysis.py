@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 from .ecgraph import EdgeColouredGraph
 from .group import GroupSpec
-from .setalg import GroupSubset
+from .setalg import GroupSubset, is_sum_free
 
 VIOLATION_JSON_CAP = 20
 
@@ -239,14 +239,6 @@ def _atoms(spec: GroupSpec) -> list[tuple]:
     return atoms
 
 
-def _sum_free(spec: GroupSpec, members: frozenset) -> bool:
-    for x in members:
-        for y in members:
-            if spec.add(x, y) in members:
-                return False
-    return True
-
-
 def search_sumfree_inverse_closed(
     spec: GroupSpec,
     mode: str = "exhaustive",
@@ -273,7 +265,7 @@ def search_sumfree_inverse_closed(
             examined += 1
             members = frozenset(
                 x for i, atom in enumerate(atoms) if mask >> i & 1 for x in atom)
-            if len(members) > len(best) and _sum_free(spec, members):
+            if len(members) > len(best) and is_sum_free(GroupSubset(spec, members)):
                 best = members
         return SearchResult(
             subset=GroupSubset(spec, best),
@@ -293,7 +285,7 @@ def search_sumfree_inverse_closed(
             break
         examined += 1
         candidate = members | frozenset(atom)
-        if _sum_free(spec, candidate):
+        if is_sum_free(GroupSubset(spec, candidate)):
             members = candidate
     return SearchResult(
         subset=GroupSubset(spec, members),

@@ -76,15 +76,26 @@ class ColouredConnectingSet:
     @staticmethod
     def from_json_dict(data: dict) -> "ColouredConnectingSet":
         try:
-            spec = parse_group_text(data["group"])
+            group = data["group"]
             raw = data["classes"]
             colour_count = data.get("colour_count")
-            classes = {
-                int(colour): GroupSubset.of(spec, [tuple(e) for e in elems])
-                for colour, elems in raw.items()
-            }
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed connecting set JSON: {exc}") from None
+        if type(group) is not str:
+            raise ValueError(f"group must be a string, got {group!r}")
+        if type(raw) is not dict:
+            raise ValueError(f"classes must be an object keyed by colour, got {raw!r}")
+        if colour_count is not None and type(colour_count) is not int:
+            raise ValueError(f"colour_count must be an integer, got {colour_count!r}")
+        spec = parse_group_text(group)
+        classes = {}
+        for colour, elems in raw.items():
+            if type(elems) is not list:
+                raise ValueError(f"class {colour} must be a list of elements, got {elems!r}")
+            for e in elems:
+                if type(e) is not list or any(type(x) is not int for x in e):
+                    raise ValueError(f"malformed element {e!r} in class {colour}")
+            classes[int(colour)] = GroupSubset.of(spec, [tuple(e) for e in elems])
         return ColouredConnectingSet.of(spec, classes, colour_count)
 
 

@@ -238,36 +238,34 @@ def _layer_sizes(k: int, q: int) -> list[int]:
     return [k - q - j for j in range(1, k - q)]  # sizes k-q-1 down to 1
 
 
+def _layer_shape(k: int, q: int) -> tuple[int, int, int]:
+    """(a, m, lo) for the layer group Z_2^a x Z_m, in closed form.
+
+    Every connecting element's last residue lies in the open middle third
+    lo..(2m-1)//3 of Z_m, which forces the union to be sum-free. Odd-sized
+    classes consume one involution (eps, m/2) each, so 2^a is the smallest
+    power of two covering them. An even m >= 4 leaves (m - 2) // 6 inverse
+    pairs (x, m - x) in the middle third beside m/2, in each of the 2^a
+    copies, and m is the least such m that holds every pair.
+    """
+    n = k - q - 1  # the classes have sizes n, n-1, ..., 1
+    if n < 1:
+        raise ValueError(f"no layer classes for k={k} q={q}")
+    a = ((n - 1) // 2).bit_length()  # 2^a >= (n + 1) // 2, the odd sizes
+    pairs_needed = (n // 2) * ((n + 1) // 2)  # sum of s // 2 over the sizes
+    m = max(4, 6 * -(-pairs_needed // (1 << a)) + 2)
+    return a, m, m // 3 + 1
+
+
 def _layer_classes(k: int, q: int) -> ColouredConnectingSet:
     """Disjoint inverse-closed classes of sizes k-q-1, ..., 1 on colours q+1, ..., k-1.
 
-    The group is Z_2^a x Z_m with every connecting element's last residue in
-    the open middle third (m/3, 2m/3), which forces the union to be sum-free.
-    Odd-sized classes consume one involution (eps, m/2) each, so a is the
-    smallest power with 2^a involutions available and m grows until the
-    middle third offers enough inverse pairs.
+    Pairs (eps, x), (eps, m-x) from _layer_shape's window fill each class;
+    an involution (eps, m/2) completes each odd-sized one.
     """
     sizes = _layer_sizes(k, q)
-    if not sizes:
-        raise ValueError(f"no layer classes for k={k} q={q}")
-    odd_count = sum(1 for s in sizes if s % 2)
-    pairs_needed = sum(s // 2 for s in sizes)
-    a = 0 if odd_count <= 1 else (odd_count - 1).bit_length()
-    copies = 1 << a
-
-    m = 4
-    while True:
-        lo = m // 3 + 1
-        hi = (2 * m - 1) // 3
-        mid_size = hi - lo + 1
-        has_half = lo <= m // 2 <= hi
-        pairs_per_copy = max(0, (mid_size - (1 if has_half else 0)) // 2)
-        if copies >= odd_count and copies * pairs_per_copy >= pairs_needed:
-            break
-        m += 2
-
-    factors = (2,) * a + (m,)
-    spec = GroupSpec(factors)
+    a, m, lo = _layer_shape(k, q)
+    spec = GroupSpec((2,) * a + (m,))
     eps_list = list(GroupSpec((2,) * a).elements()) if a else [()]
     pair_pool = [
         (eps + (x,), eps + (m - x,))
@@ -329,11 +327,16 @@ def build_sumfree_layer(k: int, q: int) -> EdgeColouredGraph:
     return _build_layer(k, q)
 
 
-def _check_gaps_range(k: int, q: int) -> None:
+def _gaps_range_problem(k: int, q: int) -> str:
+    """Why (k, q) falls outside 1 < q < k/4; empty when it does not."""
     if q <= 1:
-        raise ValueError(f"q > 1 required, got q={q}")
-    if 4 * q >= k:
-        raise ValueError(f"q < k/4 required, got q={q} k={k}")
+        return f"q > 1 required, got q={q}"
+    return f"q < k/4 required, got q={q} k={k}" if 4 * q >= k else ""
+
+
+def _check_gaps_range(k: int, q: int) -> None:
+    if problem := _gaps_range_problem(k, q):
+        raise ValueError(problem)
 
 
 @dataclass(frozen=True)
@@ -379,8 +382,8 @@ class GapsPlan:
     def problems(self) -> tuple[str, ...]:
         """Every condition this plan fails; empty when the plan is valid."""
         out = []
-        if self.q <= 1 or 4 * self.q >= self.k:
-            out.append(f"q={self.q} outside 1 < q < k/4 for k={self.k}")
+        if range_problem := _gaps_range_problem(self.k, self.q):
+            out.append(range_problem)
         if self.gap_slack <= 0:
             out.append(f"gap condition fails with slack {self.gap_slack}")
         if self.t < self.t_min:
@@ -433,6 +436,8 @@ def _make_gaps_plan(
     prefix_order: Optional[int],
     enforce: bool,
 ) -> GapsPlan:
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got q={q}")
     prefix_e = tuple(int(x) for x in prefix_e)
     prefix_deg = tuple(int(x) for x in prefix_deg)
     if len(prefix_e) != q or len(prefix_deg) != q:
@@ -444,22 +449,15 @@ def _make_gaps_plan(
     if prefix_deg[-1] > prefix_e[-1]:
         raise ValueError(
             f"prefix degree a_q={prefix_deg[-1]} exceeds closed count D_q={prefix_e[-1]}")
-    if enforce:
-        _check_gaps_range(k, q)
-    elif k - q < 2:
+    if k - q < 2:
         raise ValueError(f"need at least two amplified colours, got q={q} k={k}")
 
     prefix_gap = max(
         (prefix_e[j] - prefix_e[j + 1] for j in range(q - 1)), default=0)
     spread = k - q
     layer_pairs = spread * (spread - 1) // 2  # C(k-q, 2)
-    gap_lhs = prefix_e[-1] * (k - 4 * q)
-    gap_rhs = 1 + prefix_gap * q * (q - 1) + 5 * layer_pairs
-    gap_slack = gap_lhs - gap_rhs
-    if enforce and gap_slack <= 0:
-        raise ValueError(
-            f"gap condition D_q*(k-4q) > 1 + gap*q*(q-1) + 5*C(k-q,2) fails: "
-            f"{gap_lhs} <= {gap_rhs} (slack {gap_slack})")
+    # the gap condition D_q*(k-4q) > 1 + gap*q*(q-1) + 5*C(k-q,2)
+    gap_slack = prefix_e[-1] * (k - 4 * q) - (1 + prefix_gap * q * (q - 1) + 5 * layer_pairs)
 
     chain = _full_closed_chain(k, q, prefix_e)
     core_degree = layer_pairs + sum(prefix_deg)
@@ -471,8 +469,6 @@ def _make_gaps_plan(
     t_min = -(-(1 + core_degree + 2 * chain_total) // (spread * min_tail_gap))
     if t is None:
         t = t_min
-    elif enforce and t < t_min:
-        raise ValueError(f"t = {t} below the minimum {t_min} for these parameters")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
 
@@ -496,26 +492,17 @@ def _make_gaps_plan(
     deg_at_t = tuple(c0 + c1 * t for c0, c1 in deg_affine)
     e_at_t = tuple(c0 + c1 * t for c0, c1 in e_affine)
 
-    deg_ok = all(deg_at_t[i] < deg_at_t[i + 1] for i in range(k - 1))
-    e_ok = all(e_at_t[i] > e_at_t[i + 1] for i in range(k - 1))
-    violation: Optional[tuple[str, int]] = None
-    for i in range(k - 1):
-        if deg_at_t[i] >= deg_at_t[i + 1]:
-            violation = ("deg", i + 1)
-            break
-    if violation is None:
-        for i in range(k - 1):
-            if e_at_t[i] <= e_at_t[i + 1]:
-                violation = ("e", i + 1)
-                break
-    if enforce and violation is not None:
-        kind, colour = violation
-        raise ValueError(
-            f"predicted {kind} chain not strictly monotone between colours {colour} and {colour + 1}")
+    # colour i (1-based) where each chain first fails to be strictly monotone
+    deg_break = next((i for i in range(1, k) if deg_at_t[i - 1] >= deg_at_t[i]), None)
+    e_break = next((i for i in range(1, k) if e_at_t[i - 1] <= e_at_t[i]), None)
+    violation: Optional[tuple[str, int]] = (
+        ("deg", deg_break) if deg_break is not None
+        else ("e", e_break) if e_break is not None
+        else None)
 
-    layer = _layer_classes(k, q)
-    estimate = 2 * part_size * layer.spec.order * (prefix_order if prefix_order else 1)
-    return GapsPlan(
+    a, m, _ = _layer_shape(k, q)
+    layer_group = GroupSpec((2,) * a + (m,))
+    plan = GapsPlan(
         q=q,
         k=k,
         prefix_e=prefix_e,
@@ -528,17 +515,20 @@ def _make_gaps_plan(
         part_size=part_size,
         part_ratio=part_ratio,
         layer_sizes=tuple(_layer_sizes(k, q)),
-        layer_group=layer.spec,
+        layer_group=layer_group,
         deg_affine=tuple(deg_affine),
         e_affine=tuple(e_affine),
         deg_at_t=deg_at_t,
         e_at_t=e_at_t,
-        deg_chain_ok=deg_ok,
-        e_chain_ok=e_ok,
+        deg_chain_ok=deg_break is None,
+        e_chain_ok=e_break is None,
         first_chain_violation=violation,
         prefix_order=prefix_order,
-        order_estimate=estimate,
+        order_estimate=2 * part_size * layer_group.order * (prefix_order if prefix_order else 1),
     )
+    if enforce and plan.problems:
+        raise ValueError("; ".join(plan.problems))
+    return plan
 
 
 def plan_gaps(
@@ -553,9 +543,12 @@ def plan_gaps(
 
     The three chain regions (colours up to q, the q boundary, and the
     amplified tail) are all checked with exact integers at the chosen t.
-    Raises when the gap condition fails (reporting its slack), when
-    t_override sits below the feasible minimum, or when a predicted chain
-    is not strictly monotone.
+    A plan with problems (q outside 1 < q < k/4, a gap condition without
+    positive slack, t_override below t_min, a chain that is not strictly
+    monotone) raises one ValueError that lists every entry of
+    GapsPlan.problems, joined by "; ". Malformed input (prefix vectors of the
+    wrong length or order, fewer than two amplified colours, t < 1, or
+    amplified closed counts that do not decrease) raises on its own.
     """
     return _make_gaps_plan(q, k, prefix_e, prefix_deg, t_override, prefix_order, enforce=True)
 

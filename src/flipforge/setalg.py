@@ -69,7 +69,12 @@ def inverses(a: GroupSubset) -> GroupSubset:
 
 def is_sum_free(a: GroupSubset) -> bool:
     """No x, y, z in the set with x + y = z (x = y allowed)."""
-    return a.is_disjoint(sumset(a, a))
+    add, members = a.spec.add, a.elements
+    for x in members:
+        for y in members:
+            if add(x, y) in members:
+                return False
+    return True
 
 
 def is_inverse_closed(a: GroupSubset) -> bool:

@@ -207,7 +207,9 @@ def test_criterion_07a_amplification_at_flagship_scale():
         # e chain. Colour 2 grows more slowly in t than colour 3, so the chain
         # breaks between them from the crossover on; every t below the
         # crossover breaks it somewhere as well.
-        with pytest.raises(ValueError, match=r"slack -171\)"):
+        with pytest.raises(ValueError, match=(
+                r"^gap condition fails with slack -171; "
+                r"predicted e chain breaks between colours 2 and 3$")):
             plan_gaps(2, 9, *args, prefix_order=prefix.vertex_count)
         relaxed = _make_gaps_plan(2, 9, *args, None, prefix.vertex_count, enforce=False)
         assert relaxed.first_chain_violation == ("e", 2)
@@ -220,7 +222,7 @@ def test_criterion_07a_amplification_at_flagship_scale():
             ).first_chain_violation is not None, t
 
         # k = 10 still fails the gap condition; k = 11 is the first valid plan.
-        with pytest.raises(ValueError, match=r"slack -51\)"):
+        with pytest.raises(ValueError, match=r"^gap condition fails with slack -51$"):
             plan_gaps(2, 10, *args, prefix_order=prefix.vertex_count)
         plan = plan_gaps(2, 11, *args, prefix_order=prefix.vertex_count)
         assert plan.gap_slack == 64

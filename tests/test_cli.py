@@ -104,11 +104,32 @@ VERIFY_G = ["verify", "--in", "{tmp}/g.json"]
     ({"vertices": 3, "colours": 1, "edges": [[0, "1", 1]]}, VERIFY_G),
     (None, ["bounds", "--b", "4", "--out", "{tmp}"]),
     (None, ["construct-br", "--b", "4", "--r", "5", "--out", "{tmp}/missing/x.json"]),
-], ids=["string-vertices", "float-endpoint", "string-endpoint", "out-is-dir", "out-dir-missing"])
+    (None, ["gaps-plan", "--q", "0", "--k", "9", "--prefix-e", ",", "--prefix-deg", ","]),
+], ids=["string-vertices", "float-endpoint", "string-endpoint", "out-is-dir", "out-dir-missing",
+        "empty-prefix"])
 def test_bad_input_or_output_exits_2(tmp_path, capsys, graph, argv):
     """Malformed graph JSON or an unwritable --out is a usage error, never exit 1."""
     (tmp_path / "g.json").write_text(json.dumps(graph))
     rc, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert rc == 2
+    assert err.startswith("error:")
+
+
+RED_SET = {"group": "z:40", "colour_count": 2, "classes": {"2": [[6], [7], [20], [33], [34]]}}
+
+
+@pytest.mark.parametrize("change", [
+    {"classes": [[1, 6]]},
+    {"group": 7},
+    {"colour_count": "3"},
+    {"classes": {"2": [[2.5], [37.5]]}},
+], ids=["classes-list", "group-int", "colour-count-string", "float-residues"])
+def test_pack_malformed_connecting_set_exits_2(tmp_path, capsys, change):
+    (tmp_path / "first.json").write_text(json.dumps(
+        {"group": "z:40", "colour_count": 2, "classes": {"1": [[9], [18], [22], [31]]}}))
+    (tmp_path / "second.json").write_text(json.dumps({**RED_SET, **change}))
+    rc, _, err = run(capsys, "pack", "--first", str(tmp_path / "first.json"),
+                     "--second", str(tmp_path / "second.json"))
     assert rc == 2
     assert err.startswith("error:")
 

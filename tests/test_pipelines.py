@@ -256,7 +256,9 @@ def test_plan_gaps_t_override():
     assert plan.t == 200
     assert plan.t_min == 113
     assert plan.part_size == 7 * 200 + 21
-    with pytest.raises(ValueError, match="below the minimum 113"):
+    with pytest.raises(
+            ValueError,
+            match=r"^t=100 below minimum 113; predicted e chain breaks between colours 3 and 4$"):
         plan_gaps(**SYNTH, t_override=100)
 
 
@@ -280,6 +282,11 @@ def test_plan_gaps_relaxed_keeps_violation():
     plan = _make_gaps_plan(2, 9, (7, 5), (4, 5), None, None, enforce=False)
     assert plan.gap_slack == -105
     assert not plan.e_chain_ok
+    # equal closed counts on neighbouring colours break the chain too
+    tie = _make_gaps_plan(2, 5, (11, 10), (1, 3), 1, None, enforce=False)
+    assert tie.e_at_t[:3] == (77, 70, 70)
+    assert tie.deg_chain_ok and not tie.e_chain_ok
+    assert tie.first_chain_violation == ("e", 2)
 
 
 def test_plan_gaps_prefix_validation():
@@ -295,6 +302,43 @@ def test_plan_gaps_prefix_validation():
         plan_gaps(1, 9, (140,), (42,))
     with pytest.raises(ValueError, match="q < k/4"):
         plan_gaps(2, 8, (140, 135), (42, 135))
+    with pytest.raises(ValueError, match="q must be >= 1, got q=0"):
+        plan_gaps(0, 9, (), ())
+
+
+def test_plan_gaps_never_builds_the_layer(monkeypatch):
+    def refuse(k, q):
+        raise AssertionError("planning must not build the layer connecting set")
+
+    monkeypatch.setattr(pipelines, "_layer_classes", refuse)
+    assert plan_gaps(**SYNTH).layer_group == GroupSpec((2, 2, 20))
+    big = _make_gaps_plan(2, 700, (5000, 4000), (100, 200), None, None, enforce=False)
+    assert big.layer_group.to_text() == "z:2,2,2,2,2,2,2,2,2,1430"
+    assert big.order_estimate == 1451886458880
+
+
+def test_layer_shape_is_the_least_group_that_fits():
+    """The closed form against a direct search: the fewest Z_2 factors that
+    give every odd class its own involution, then the smallest even m whose
+    window m/3 < x < m/2 holds enough inverse pairs (x, m - x) per copy."""
+    for k in range(4, 60):
+        for q in range(1, k - 1):
+            sizes = _layer_sizes(k, q)
+            a = 0
+            while 2**a < sum(s % 2 for s in sizes):
+                a += 1
+            m = 4
+            while 2**a * len(range(m // 3 + 1, m // 2)) < sum(s // 2 for s in sizes):
+                m += 2
+            assert pipelines._layer_shape(k, q) == (a, m, m // 3 + 1), (k, q)
+
+
+def test_plan_layer_group_matches_built_layer():
+    for k in range(4, 40):
+        for q in range(2, k - 1):
+            plan = _make_gaps_plan(q, k, tuple(10**6 - i for i in range(q)), tuple(range(1, q + 1)),
+                                   None, None, enforce=False)
+            assert plan.layer_group == _layer_classes(k, q).spec, (k, q)
 
 
 def test_plan_gaps_prefix_gap_uses_largest():
