@@ -257,15 +257,20 @@ def search_sumfree_inverse_closed(
         if spec.order > EXHAUSTIVE_ORDER_CAP:
             raise ValueError(
                 f"exhaustive mode needs group order <= {EXHAUSTIVE_ORDER_CAP}, got {spec.order}")
+        # A candidate's size is its atom count plus its two-element atom count,
+        # so masks no larger than the best so far are skipped before any set is built.
+        pair_atoms = sum(1 << i for i, atom in enumerate(atoms) if len(atom) == 2)
         best: frozenset = frozenset()
         examined = 0
         for mask in range(1 << len(atoms)):
             if budget is not None and examined >= budget:
                 raise ValueError(f"exhaustive search budget {budget} exceeded after {examined} candidates")
             examined += 1
+            if mask.bit_count() + (mask & pair_atoms).bit_count() <= len(best):
+                continue
             members = frozenset(
                 x for i, atom in enumerate(atoms) if mask >> i & 1 for x in atom)
-            if len(members) > len(best) and is_sum_free(GroupSubset(spec, members)):
+            if is_sum_free(GroupSubset(spec, members)):
                 best = members
         return SearchResult(
             subset=GroupSubset(spec, best),

@@ -42,11 +42,14 @@ class ColouredConnectingSet:
                 raise ValueError(f"class {colour} contains the identity")
             if not is_inverse_closed(subset):
                 raise ValueError(f"class {colour} is not inverse-closed")
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if not items[i][1].is_disjoint(items[j][1]):
-                    raise ValueError(
-                        f"classes {items[i][0]} and {items[j][0]} overlap")
+        union = frozenset().union(*(subset.elements for _, subset in items))
+        if len(union) != sum(len(subset) for _, subset in items):
+            # Some pair overlaps: find the first in colour order to name it.
+            for i in range(len(items)):
+                for j in range(i + 1, len(items)):
+                    if not items[i][1].is_disjoint(items[j][1]):
+                        raise ValueError(
+                            f"classes {items[i][0]} and {items[j][0]} overlap")
         top = max(c for c, _ in items)
         if colour_count is None:
             colour_count = top

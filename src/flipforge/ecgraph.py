@@ -3,6 +3,14 @@
 Vertices are 0-based integers, colours are 1-based. A profile records, for
 each colour j, the degree deg_j(v) and the number of colour-j edges induced
 by the closed and open neighbourhoods of v.
+
+The open counts of every vertex come from one whole-graph pass of the
+forward triangle-listing algorithm (Schank & Wagner, WEA 2005): each
+triangle is listed exactly once and credits its opposite edge's colour to
+each of its three corners, in O(m^1.5) time and O(m) memory. The pass runs
+the first time any vertex of a graph is profiled, and its counts are cached
+on the graph. ``profile_by_edge_scan`` never reads that cache; it is the
+independent oracle the pass is checked against.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ class VertexColourProfile:
 class EdgeColouredGraph:
     """Immutable simple graph whose edges each carry one colour in 1..k."""
 
-    __slots__ = ("vertex_count", "colour_count", "edges", "_pair", "_adj")
+    __slots__ = ("vertex_count", "colour_count", "edges", "_adj", "_open")
 
     def __init__(self, vertex_count: int, colour_count: int, edges: Iterable[Edge]):
         if vertex_count < 0:
@@ -54,7 +62,6 @@ class EdgeColouredGraph:
         self.vertex_count = vertex_count
         self.colour_count = colour_count
         self.edges = tuple(sorted((u, v, c) for (u, v), c in pair.items()))
-        self._pair = pair
         adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
         for (u, v), c in pair.items():
             adj[u].append((v, c))
@@ -105,23 +112,44 @@ class EdgeColouredGraph:
         return tuple(deg)
 
     def vertex_profile(self, v: int) -> VertexColourProfile:
-        """Profile of v via pair scans over its neighbourhood."""
+        """Profile of v: degrees from its adjacency, open counts from the
+        graph's triangle-listing pass, which runs on the first call only."""
         self._check_vertex(v)
-        nbrs = [w for w, _ in self._adj[v]]
         deg = [0] * self.colour_count
         for _, c in self._adj[v]:
             deg[c - 1] += 1
-        open_counts = [0] * self.colour_count
-        pair = self._pair
-        for i in range(len(nbrs)):
-            a = nbrs[i]
-            for j in range(i + 1, len(nbrs)):
-                b = nbrs[j]
-                c = pair.get((a, b) if a < b else (b, a))
-                if c is not None:
-                    open_counts[c - 1] += 1
+        try:
+            open_counts = self._open[v]
+        except AttributeError:
+            object.__setattr__(self, "_open", self._count_open())
+            open_counts = self._open[v]
         closed = [o + d for o, d in zip(open_counts, deg)]
-        return VertexColourProfile(v, tuple(deg), tuple(closed), tuple(open_counts))
+        return VertexColourProfile(v, tuple(deg), tuple(closed), open_counts)
+
+    def _count_open(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex open counts, listing each triangle once (forward algorithm).
+
+        Vertices are ranked by (degree, index) and each keeps a dict of its
+        higher-ranked neighbours. A triangle u < w < x in rank order is found
+        only from the forward edge u->w, as x in both forward dicts; the edge
+        opposite each corner then adds one to that corner's count.
+        """
+        adj = self._adj
+        rank = [0] * self.vertex_count
+        for r, v in enumerate(sorted(range(self.vertex_count), key=lambda v: (len(adj[v]), v))):
+            rank[v] = r
+        fwd = [{w: c for w, c in nbrs if rank[w] > rank[v]} for v, nbrs in enumerate(adj)]
+        counts = [[0] * self.colour_count for _ in adj]
+        for u, fu in enumerate(fwd):
+            cu = counts[u]
+            for w, c in fu.items():
+                fw = fwd[w]
+                cw = counts[w]
+                for x in fu.keys() & fw.keys():
+                    counts[x][c - 1] += 1
+                    cw[fu[x] - 1] += 1
+                    cu[fw[x] - 1] += 1
+        return tuple(map(tuple, counts))
 
     def profile_by_edge_scan(self, v: int) -> VertexColourProfile:
         """Same profile computed independently by scanning the full edge list."""

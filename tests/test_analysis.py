@@ -19,7 +19,7 @@ from flipforge.analysis import (
     verify_flip,
 )
 from flipforge.ecgraph import EdgeColouredGraph
-from flipforge.group import cyclic
+from flipforge.group import GroupSpec, cyclic
 from flipforge.pipelines import build_br, plan_br
 from flipforge.setalg import GroupSubset, is_inverse_closed, is_sum_free
 
@@ -237,11 +237,14 @@ def test_search_exhaustive_z2():
 
 
 def test_search_found_sets_are_valid():
-    for n in range(2, 17):
-        result = search_sumfree_inverse_closed(cyclic(n))
+    # the non-cyclic groups mix involution atoms with {x, -x} atoms
+    specs = [cyclic(n) for n in range(2, 17)] + [
+        GroupSpec(f) for f in ((2, 4), (2, 2, 2), (2, 6), (3, 3), (2, 2, 3))]
+    for spec in specs:
+        result = search_sumfree_inverse_closed(spec)
         assert is_sum_free(result.subset)
         assert is_inverse_closed(result.subset)
-        assert result.size == brute_force_maximum(cyclic(n)), n
+        assert result.size == brute_force_maximum(spec), spec
 
 
 def test_search_exhaustive_order_cap():

@@ -18,6 +18,7 @@ from flipforge.construct import (
 )
 from flipforge.ecgraph import EdgeColouredGraph
 from flipforge.group import GroupSpec, cyclic
+from flipforge.pipelines import _layer_classes
 from flipforge.setalg import GroupSubset, inverses, sumset
 
 Z7 = cyclic(7)
@@ -67,6 +68,34 @@ def test_connecting_set_validation():
         ColouredConnectingSet.of(Z7, {3: good}, colour_count=2)
     with pytest.raises(ValueError):
         ColouredConnectingSet.of(cyclic(8), {1: good})  # subset lives elsewhere
+
+
+def test_connecting_set_disjointness_without_pairwise_checks(monkeypatch):
+    """Disjoint classes are accepted by one size comparison, not c(c-1)/2 pair tests."""
+    calls = []
+    is_disjoint = GroupSubset.is_disjoint
+
+    def counting_is_disjoint(self, other):
+        calls.append(1)
+        return is_disjoint(self, other)
+
+    monkeypatch.setattr(GroupSubset, "is_disjoint", counting_is_disjoint)
+    ccs = _layer_classes(300, 2)
+    assert len(ccs.classes) == 297
+    assert calls == []
+
+
+def test_connecting_set_overlap_names_first_pair():
+    z13 = cyclic(13)
+    classes = {
+        5: GroupSubset.of(z13, [1, 12, 5, 8]),
+        4: GroupSubset.of(z13, [2, 11, 4, 9]),
+        3: GroupSubset.of(z13, [3, 10]),
+        2: GroupSubset.of(z13, [2, 11]),
+        1: GroupSubset.of(z13, [1, 12]),
+    }
+    with pytest.raises(ValueError, match="^classes 1 and 5 overlap$"):
+        ColouredConnectingSet.of(z13, classes)
 
 
 def test_connecting_set_accessors():

@@ -7,7 +7,10 @@ the package, so they get a dual-implementation cross-check here.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flipforge.analysis import verify_flip
 from flipforge.ecgraph import EdgeColouredGraph
 
 
@@ -71,7 +74,7 @@ def test_count_coloured_edges():
 
 
 def test_profile_cross_check():
-    """vertex_profile (pair scan) and profile_by_edge_scan must always agree."""
+    """vertex_profile (triangle-listing pass) and profile_by_edge_scan must always agree."""
     rng = random.Random(4242)
     for _ in range(50):
         g = random_graph(rng)
@@ -80,6 +83,72 @@ def test_profile_cross_check():
             slow = g.profile_by_edge_scan(v)
             assert fast == slow, f"profile mismatch at {v} of {g!r}"
             assert fast.deg == g.degree_vector(v)
+
+
+@st.composite
+def graphs_with_query_order(draw):
+    """Random edges plus a coloured clique, padded with isolated vertices."""
+    n = draw(st.integers(0, 50))
+    k = draw(st.integers(1, 6))
+    edges = []
+    if n >= 2:
+        vertex = st.integers(0, n - 1)
+        for u, v, c in draw(st.lists(st.tuples(vertex, vertex, st.integers(1, k)), max_size=400)):
+            if u != v:
+                edges.append((u, v, c))
+        clique = draw(st.lists(vertex, unique=True, max_size=12))
+        pairs = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+        colours = draw(st.lists(st.integers(1, k), min_size=len(pairs), max_size=len(pairs)))
+        edges += [(u, v, c) for (u, v), c in zip(pairs, colours)]
+    kept = {}
+    for u, v, c in edges:  # first colour drawn for a pair wins
+        kept.setdefault((min(u, v), max(u, v)), c)
+    total = n + draw(st.integers(0, 10))
+    g = EdgeColouredGraph(total, k, [(u, v, c) for (u, v), c in kept.items()])
+    return g, draw(st.permutations(range(total)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(graphs_with_query_order())
+def test_profile_matches_edge_scan_in_any_query_order(case):
+    g, order = case
+    for v in order:
+        assert g.vertex_profile(v) == g.profile_by_edge_scan(v), f"vertex {v} of {g!r}"
+
+
+def count_passes(monkeypatch):
+    """Count runs of the graph-wide triangle-listing pass."""
+    passes = []
+    count_open = EdgeColouredGraph._count_open
+
+    def counting(self):
+        passes.append(self)
+        return count_open(self)
+
+    monkeypatch.setattr(EdgeColouredGraph, "_count_open", counting)
+    return passes
+
+
+def test_profile_pass_runs_once_per_graph(monkeypatch):
+    passes = count_passes(monkeypatch)
+    g = EdgeColouredGraph(5, 2, [(0, 1, 1), (1, 2, 2), (0, 2, 1), (2, 3, 2), (3, 4, 1)])
+    first = verify_flip(g)
+    second = verify_flip(g)
+    assert first == second
+    assert passes == [g]
+    # an equal graph built separately has its own cache
+    twin = EdgeColouredGraph(5, 2, g.edges)
+    twin.vertex_profile(4)
+    assert len(passes) == 2 and passes[1] is twin
+
+
+def test_edge_scan_never_runs_the_pass(monkeypatch):
+    passes = count_passes(monkeypatch)
+    g = EdgeColouredGraph(4, 2, C4_ALTERNATING.edges + ((0, 2, 1),))
+    scanned = [g.profile_by_edge_scan(v) for v in range(g.vertex_count)]
+    assert passes == []
+    assert [g.vertex_profile(v) for v in range(g.vertex_count)] == scanned
+    assert passes == [g]
 
 
 def test_closed_equals_open_plus_degree():
@@ -151,9 +220,15 @@ def test_to_dot():
 
 
 def test_immutability():
-    g = EdgeColouredGraph(2, 1, [(0, 1, 1)])
+    g = EdgeColouredGraph(3, 1, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     with pytest.raises(AttributeError):
         g.vertex_count = 5
+    # filling the profile cache leaves the graph read-only
+    assert g.vertex_profile(0).e_open == (1,)
+    for name in ("vertex_count", "edges", "_adj", "_open"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    assert g.vertex_profile(2).e_closed == (3,)
 
 
 def test_empty_graph():

@@ -409,6 +409,26 @@ def test_build_gaps_profiles_each_vertex_once(monkeypatch):
     assert len(calls) == 40 + 4 + 160 + 960
 
 
+def test_build_gaps_runs_one_profile_pass_per_audited_graph(monkeypatch):
+    """The triangle-listing pass runs once for each of the prefix, layer, core
+    and amplified graphs, however many of their vertices are profiled. The
+    prefix is rebuilt so that its cache is empty: build_br profiled it."""
+    built, plan = small_relaxed_case()
+    prefix = EdgeColouredGraph(built.vertex_count, built.colour_count, built.edges)
+    passes = []
+    count_open = EdgeColouredGraph._count_open
+
+    def counting(self):
+        passes.append(self.vertex_count)
+        return count_open(self)
+
+    monkeypatch.setattr(EdgeColouredGraph, "_count_open", counting)
+    build_gaps(plan, prefix)
+    assert sorted(passes) == [4, 40, 160, 960]
+    build_gaps(plan, built)
+    assert len(passes) == 7
+
+
 def test_build_gaps_amplified_mismatch_names_vertex(monkeypatch):
     prefix, plan = small_relaxed_case()
     product = pipelines.strong_product
