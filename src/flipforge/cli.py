@@ -107,7 +107,7 @@ def _parse_class_flag(spec_text: str, flag: str) -> tuple[int, list]:
 
 
 def _emit_graph(graph: EdgeColouredGraph, out: Optional[str], dot: Optional[str]) -> None:
-    _write_text(out, _dump_json(graph.to_json_dict()))
+    _write_text(out, graph.to_json())
     if dot is not None:
         _write_text(dot, graph.to_dot())
 

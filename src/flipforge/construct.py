@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .ecgraph import EdgeColouredGraph
-from .group import DEFAULT_ENUMERATION_LIMIT, GroupSpec, format_elements, parse_group_text
+from .ecgraph import Edge, EdgeColouredGraph
+from .group import GroupSpec, format_elements, parse_group_text
 from .setalg import GroupSubset, inverses, is_inverse_closed, sumset
 
 
@@ -57,9 +57,6 @@ class ColouredConnectingSet:
             raise ValueError(f"colour count {colour_count} below largest class colour {top}")
         return ColouredConnectingSet(spec, items, colour_count)
 
-    def classes_dict(self) -> dict[int, GroupSubset]:
-        return dict(self.classes)
-
     def union_elements(self) -> GroupSubset:
         out = frozenset()
         for _, subset in self.classes:
@@ -102,22 +99,31 @@ class ColouredConnectingSet:
         return ColouredConnectingSet.of(spec, classes, colour_count)
 
 
-def cayley_build(
-    ccs: ColouredConnectingSet,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> EdgeColouredGraph:
-    """Cayley graph on the whole group, one edge {g, g+s} per connecting element."""
+def _translation_table(factors: tuple[int, ...], s: tuple[int, ...]) -> list[int]:
+    """Vertex number of g + s at index g, built factor by factor in mixed radix."""
+    table = [0]
+    for x, n in zip(s, factors):
+        table = [t * n + (v + x) % n for t in table for v in range(n)]
+    return table
+
+
+def cayley_build(ccs: ColouredConnectingSet) -> EdgeColouredGraph:
+    """Cayley graph on the whole group, one edge {g, g+s} per connecting element.
+
+    Vertex i is the i-th element in enumeration order, that is the element's
+    mixed-radix value with the first factor most significant, so g + s is one
+    table look-up. Each edge is emitted once from each of its ends, and the
+    graph constructor keeps one copy.
+    """
     spec = ccs.spec
-    index = spec.element_index(limit)
-    edges = set()
-    for colour, subset in ccs.classes:
-        for s in subset.sorted_elements():
-            for g, gi in index.items():
-                hi = index[spec.add(g, s)]
-                if gi < hi:
-                    edges.add((gi, hi, colour))
-                else:
-                    edges.add((hi, gi, colour))
+    spec.check_enumerable()
+    # One int object per vertex, shared by every edge that touches it.
+    vertices = list(range(spec.order))
+    edges = (
+        (u, vertices[w], colour)
+        for colour, subset in ccs.classes
+        for s in subset.elements
+        for u, w in zip(vertices, _translation_table(spec.factors, s)))
     return EdgeColouredGraph(spec.order, ccs.colour_count, edges)
 
 
@@ -146,29 +152,21 @@ def merge_connecting_sets(
         first.spec, merged, max(first.colour_count, second.colour_count))
 
 
-def pack_cayley(
-    first: ColouredConnectingSet,
-    second: ColouredConnectingSet,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> EdgeColouredGraph:
+def pack_cayley(first: ColouredConnectingSet, second: ColouredConnectingSet) -> EdgeColouredGraph:
     """Cayley graph of the merged connecting sets."""
-    return cayley_build(merge_connecting_sets(first, second), limit)
+    return cayley_build(merge_connecting_sets(first, second))
 
 
-def _product_shell(g: EdgeColouredGraph, h: EdgeColouredGraph) -> None:
-    if g.colour_count != h.colour_count:
-        raise ValueError(
-            f"factors must share a colour count, got {g.colour_count} and {h.colour_count}")
-
-
-def product_vertex(g: EdgeColouredGraph, h: EdgeColouredGraph, u: int, v: int) -> int:
-    """Row-major index of the product vertex (u, v)."""
+def product_vertex(h: EdgeColouredGraph, u: int, v: int) -> int:
+    """Row-major index of the product vertex (u, v), v a vertex of the second factor h."""
     return u * h.vertex_count + v
 
 
-def strong_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGraph:
-    """Strong product; moved-first-coordinate edges take the first factor's colour."""
-    _product_shell(g, h)
+def _cartesian_edges(g: EdgeColouredGraph, h: EdgeColouredGraph) -> list[Edge]:
+    """Product edges that move exactly one coordinate, each with its factor's colour."""
+    if g.colour_count != h.colour_count:
+        raise ValueError(
+            f"factors must share a colour count, got {g.colour_count} and {h.colour_count}")
     nh = h.vertex_count
     edges = []
     for u in range(g.vertex_count):
@@ -178,6 +176,14 @@ def strong_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGr
     for u, u2, c in g.edges:
         for v in range(nh):
             edges.append((u * nh + v, u2 * nh + v, c))
+    return edges
+
+
+def strong_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGraph:
+    """Strong product; moved-first-coordinate edges take the first factor's colour."""
+    edges = _cartesian_edges(g, h)
+    nh = h.vertex_count
+    for u, u2, c in g.edges:
         for v, v2, _ in h.edges:
             edges.append((u * nh + v, u2 * nh + v2, c))
             edges.append((u * nh + v2, u2 * nh + v, c))
@@ -186,17 +192,7 @@ def strong_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGr
 
 def cartesian_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGraph:
     """Cartesian product; edges move in exactly one coordinate."""
-    _product_shell(g, h)
-    nh = h.vertex_count
-    edges = []
-    for u in range(g.vertex_count):
-        base = u * nh
-        for v, v2, c in h.edges:
-            edges.append((base + v, base + v2, c))
-    for u, u2, c in g.edges:
-        for v in range(nh):
-            edges.append((u * nh + v, u2 * nh + v, c))
-    return EdgeColouredGraph(g.vertex_count * nh, g.colour_count, edges)
+    return EdgeColouredGraph(g.vertex_count * h.vertex_count, g.colour_count, _cartesian_edges(g, h))
 
 
 @dataclass(frozen=True)
@@ -243,18 +239,13 @@ class PackingDeltaReport:
         }
 
 
-def packing_delta(
-    spec: GroupSpec,
-    blue: GroupSubset,
-    red: GroupSubset,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> PackingDeltaReport:
+def packing_delta(spec: GroupSpec, blue: GroupSubset, red: GroupSubset) -> PackingDeltaReport:
     """Pack blue as colour 1 and red as colour 2, then audit e_1 - e_2 at identity."""
     blue_only = ColouredConnectingSet.of(spec, {1: blue}, colour_count=2)
     red_only = ColouredConnectingSet.of(spec, {2: red}, colour_count=2)
-    g_blue = cayley_build(blue_only, limit)
-    h_red = cayley_build(red_only, limit)
-    packed = pack_cayley(blue_only, red_only, limit)
+    g_blue = cayley_build(blue_only)
+    h_red = cayley_build(red_only)
+    packed = pack_cayley(blue_only, red_only)
 
     # identity element is vertex 0 in enumeration order
     packed_profile = packed.vertex_profile(0)

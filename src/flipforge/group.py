@@ -5,13 +5,15 @@ Elements are tuples of residues, one per factor, always stored reduced.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 GroupElement = tuple[int, ...]
 ElementLike = Union[int, Sequence[int]]
 
-DEFAULT_ENUMERATION_LIMIT = 10**6
+ENUMERATION_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -29,10 +31,7 @@ class GroupSpec:
 
     @property
     def order(self) -> int:
-        total = 1
-        for n in self.factors:
-            total *= n
-        return total
+        return math.prod(self.factors)
 
     @property
     def identity(self) -> GroupElement:
@@ -61,21 +60,16 @@ class GroupSpec:
     def sub(self, x: ElementLike, y: ElementLike) -> GroupElement:
         return self.add(x, self.neg(y))
 
-    def elements(self, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[GroupElement]:
-        """Enumerate all elements in lexicographic order, identity first."""
-        if self.order > limit:
-            raise ValueError(f"group order {self.order} exceeds enumeration limit {limit}")
-        def rec(prefix: GroupElement, rest: tuple[int, ...]) -> Iterator[GroupElement]:
-            if not rest:
-                yield prefix
-                return
-            for v in range(rest[0]):
-                yield from rec(prefix + (v,), rest[1:])
-        yield from rec((), self.factors)
+    def check_enumerable(self) -> None:
+        """Raise when the group is too large to list; run before any per-element allocation."""
+        if self.order > ENUMERATION_LIMIT:
+            raise ValueError(
+                f"group order {self.order} exceeds enumeration limit {ENUMERATION_LIMIT}")
 
-    def element_index(self, limit: int = DEFAULT_ENUMERATION_LIMIT) -> dict[GroupElement, int]:
-        """Map each element to its position in enumeration order."""
-        return {g: i for i, g in enumerate(self.elements(limit))}
+    def elements(self) -> Iterator[GroupElement]:
+        """Enumerate all elements in lexicographic order, identity first."""
+        self.check_enumerable()
+        yield from itertools.product(*map(range, self.factors))
 
     def to_text(self) -> str:
         return "z:" + ",".join(str(n) for n in self.factors)

@@ -323,7 +323,8 @@ def build_sumfree_layer(k: int, q: int) -> EdgeColouredGraph:
     Requires 1 < q < k/4. The sum-free check on the full connecting set and
     the per-vertex profile equalities are verified exhaustively.
     """
-    _check_gaps_range(k, q)
+    if problem := _gaps_range_problem(k, q):
+        raise ValueError(problem)
     return _build_layer(k, q)
 
 
@@ -332,11 +333,6 @@ def _gaps_range_problem(k: int, q: int) -> str:
     if q <= 1:
         return f"q > 1 required, got q={q}"
     return f"q < k/4 required, got q={q} k={k}" if 4 * q >= k else ""
-
-
-def _check_gaps_range(k: int, q: int) -> None:
-    if problem := _gaps_range_problem(k, q):
-        raise ValueError(problem)
 
 
 @dataclass(frozen=True)

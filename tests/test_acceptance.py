@@ -121,7 +121,7 @@ def test_criterion_03_product_counting_oracle():
                 gp = g.vertex_profile(u)
                 for v in range(h.vertex_count):
                     hp = h.vertex_profile(v)
-                    w = product_vertex(g, h, u, v)
+                    w = product_vertex(h, u, v)
                     sp = strong.vertex_profile(w)
                     h_deg = sum(hp.deg)
                     h_e = sum(hp.e_closed)
@@ -254,7 +254,7 @@ def test_criterion_07b_amplification_small_scale():
             up = amplifier.vertex_profile(u)
             for v in range(core.vertex_count):
                 vp = core.vertex_profile(v)
-                w = product_vertex(amplifier, core, u, v)
+                w = product_vertex(core, u, v)
                 got = graph.vertex_profile(w)
                 v_deg = sum(vp.deg)
                 v_e = sum(vp.e_closed)

@@ -1,9 +1,13 @@
 """Command line interface: outputs, exit codes, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import flipforge
 from flipforge.cli import MATERIALIZE_LIMIT_ENV, main
 from flipforge.ecgraph import EdgeColouredGraph
 
@@ -204,6 +208,28 @@ def test_pack_command(tmp_path, capsys):
     # same classes on both sides: the merge must refuse
     rc, _, err = run(capsys, "pack", "--first", str(first), "--second", str(first))
     assert rc == 2
+
+
+def test_pack_empty_classes_over_huge_group_exits_2(tmp_path):
+    """Empty classes pass every set check, so only the size check stops the
+    build. The child's address space is capped at 1 GiB: a build that
+    allocated the 10^9 vertices first would die there, not exit 2."""
+    for name, colour in (("first", "1"), ("second", "2")):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"group": "z:1000000000", "classes": {colour: []}}))
+    child = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+             "from flipforge.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = os.path.dirname(os.path.dirname(flipforge.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "pack", "--first", str(tmp_path / "first.json"),
+         "--second", str(tmp_path / "second.json")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: group order 1000000000 exceeds enumeration limit 1000000\n")
 
 
 def test_merge_command(tmp_path, capsys):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipforge.construct import (
     ColouredConnectingSet,
@@ -102,7 +104,7 @@ def test_connecting_set_accessors():
     ccs = ColouredConnectingSet.of(
         Z7, {1: GroupSubset.of(Z7, [1, 6]), 2: GroupSubset.of(Z7, [2, 5])})
     assert ccs.colour_count == 2
-    assert ccs.classes_dict()[2].sorted_elements() == [(2,), (5,)]
+    assert dict(ccs.classes)[2].sorted_elements() == [(2,), (5,)]
     assert ccs.union_elements().sorted_elements() == [(1,), (2,), (5,), (6,)]
 
 
@@ -135,9 +137,55 @@ def test_cayley_build_small():
 
 
 def test_cayley_build_limit():
-    ccs = ColouredConnectingSet.of(Z40, {1: GroupSubset.of(Z40, [1, 39])})
-    with pytest.raises(ValueError):
-        cayley_build(ccs, limit=10)
+    big = GroupSpec((1001, 1000))
+    ccs = ColouredConnectingSet.of(big, {1: GroupSubset.of(big, [(0, 1), (0, 999)])})
+    with pytest.raises(ValueError, match="exceeds enumeration limit"):
+        cayley_build(ccs)
+
+
+def cayley_edges_by_group_law(ccs):
+    """Oracle: the edge tuple from an element-index dict and one group
+    addition per edge, deduplicated in a set."""
+    spec = ccs.spec
+    index = {g: i for i, g in enumerate(spec.elements())}
+    edges = set()
+    for colour, subset in ccs.classes:
+        for s in subset.elements:
+            for g, gi in index.items():
+                hi = index[spec.add(g, s)]
+                edges.add((min(gi, hi), max(gi, hi), colour))
+    return tuple(sorted(edges))
+
+
+@st.composite
+def connecting_sets(draw):
+    """Disjoint symmetric classes over 1 to 3 cyclic factors, involutions included."""
+    factors = tuple(draw(st.lists(st.integers(2, 12), min_size=1, max_size=3)))
+    spec = GroupSpec(factors)
+    element = st.tuples(*(st.integers(0, n - 1) for n in factors))
+    picks = draw(st.lists(element, min_size=2, max_size=10))
+    # An element whose residues are all 0 or n/2 is its own inverse.
+    halves = st.tuples(*(st.sampled_from((0, n // 2)) if n % 2 == 0 else st.just(0)
+                         for n in factors))
+    picks += draw(st.lists(halves, max_size=2))
+    colour_count = draw(st.integers(1, 4))
+    classes = {c: set() for c in range(1, colour_count + 1)}
+    used = {spec.identity}
+    for x in picks:
+        if x not in used:
+            pair = {x, spec.neg(x)}
+            used |= pair
+            classes[draw(st.integers(1, colour_count))] |= pair
+    return ColouredConnectingSet.of(
+        spec, {c: GroupSubset.of(spec, members) for c, members in classes.items()})
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(connecting_sets())
+def test_cayley_build_matches_group_law(ccs):
+    g = cayley_build(ccs)
+    assert (g.vertex_count, g.colour_count) == (ccs.spec.order, ccs.colour_count)
+    assert g.edges == cayley_edges_by_group_law(ccs)
 
 
 def test_merge_connecting_sets():
@@ -145,9 +193,9 @@ def test_merge_connecting_sets():
     b = ColouredConnectingSet.of(Z7, {1: GroupSubset.of(Z7, [2, 5])})
     c = ColouredConnectingSet.of(Z7, {2: GroupSubset.of(Z7, [2, 5])})
     merged = merge_connecting_sets(a, b)  # same colour, disjoint: union
-    assert merged.classes_dict()[1].sorted_elements() == [(1,), (2,), (5,), (6,)]
+    assert dict(merged.classes)[1].sorted_elements() == [(1,), (2,), (5,), (6,)]
     merged2 = merge_connecting_sets(a, c)
-    assert sorted(merged2.classes_dict()) == [1, 2]
+    assert sorted(dict(merged2.classes)) == [1, 2]
     with pytest.raises(ValueError):
         merge_connecting_sets(b, c)  # same elements on two colours
 
@@ -162,10 +210,9 @@ def test_pack_cayley_equals_merged_build():
 
 
 def test_product_vertex_row_major():
-    g = EdgeColouredGraph(3, 1, [])
     h = EdgeColouredGraph(5, 1, [])
-    assert product_vertex(g, h, 0, 0) == 0
-    assert product_vertex(g, h, 2, 3) == 13
+    assert product_vertex(h, 0, 0) == 0
+    assert product_vertex(h, 2, 3) == 13
 
 
 def test_product_colour_count_mismatch():
@@ -221,7 +268,7 @@ def test_strong_product_profile_arithmetic():
             for v in range(h.vertex_count):
                 hp = h.vertex_profile(v)
                 want_deg, want_e = strong_profile_prediction(gp, hp, g.colour_count)
-                got = prod.vertex_profile(product_vertex(g, h, u, v))
+                got = prod.vertex_profile(product_vertex(h, u, v))
                 assert got.deg == want_deg, (u, v)
                 assert got.e_closed == want_e, (u, v)
 
@@ -237,7 +284,7 @@ def test_cartesian_product_profile_arithmetic():
             gp = g.vertex_profile(u)
             for v in range(h.vertex_count):
                 hp = h.vertex_profile(v)
-                got = prod.vertex_profile(product_vertex(g, h, u, v))
+                got = prod.vertex_profile(product_vertex(h, u, v))
                 assert got.deg == tuple(a + b for a, b in zip(gp.deg, hp.deg))
                 assert got.e_closed == tuple(a + b for a, b in zip(gp.e_closed, hp.e_closed))
 
