@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .ecgraph import Edge, EdgeColouredGraph
-from .group import GroupSpec, format_elements, parse_group_text
+from .group import ENUMERATION_LIMIT, GroupSpec, format_elements, parse_group_text
 from .setalg import GroupSubset, inverses, is_inverse_closed, sumset
 
 
@@ -168,6 +168,10 @@ def _cartesian_edges(g: EdgeColouredGraph, h: EdgeColouredGraph) -> list[Edge]:
         raise ValueError(
             f"factors must share a colour count, got {g.colour_count} and {h.colour_count}")
     nh = h.vertex_count
+    order = g.vertex_count * nh
+    if order > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"product vertex count {order} exceeds enumeration limit {ENUMERATION_LIMIT}")
     edges = []
     for u in range(g.vertex_count):
         base = u * nh

@@ -58,9 +58,11 @@ def _check_same_spec(a: GroupSubset, b: GroupSubset) -> None:
 def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
     """All pairwise sums x + y for x in a, y in b."""
     _check_same_spec(a, b)
-    spec = a.spec
-    out = {spec.add(x, y) for x in a.elements for y in b.elements}
-    return GroupSubset(spec, frozenset(out))
+    factors = a.spec.factors
+    # Members are stored reduced, so they add without GroupSpec.add's coercion.
+    out = frozenset(tuple((p + q) % n for p, q, n in zip(x, y, factors))
+                    for x in a.elements for y in b.elements)
+    return GroupSubset(a.spec, out)
 
 
 def inverses(a: GroupSubset) -> GroupSubset:
@@ -69,10 +71,10 @@ def inverses(a: GroupSubset) -> GroupSubset:
 
 def is_sum_free(a: GroupSubset) -> bool:
     """No x, y, z in the set with x + y = z (x = y allowed)."""
-    add, members = a.spec.add, a.elements
+    factors, members = a.spec.factors, a.elements
     for x in members:
         for y in members:
-            if add(x, y) in members:
+            if tuple((p + q) % n for p, q, n in zip(x, y, factors)) in members:
                 return False
     return True
 

@@ -210,26 +210,46 @@ def test_pack_command(tmp_path, capsys):
     assert rc == 2
 
 
-def test_pack_empty_classes_over_huge_group_exits_2(tmp_path):
-    """Empty classes pass every set check, so only the size check stops the
-    build. The child's address space is capped at 1 GiB: a build that
-    allocated the 10^9 vertices first would die there, not exit 2."""
-    for name, colour in (("first", "1"), ("second", "2")):
-        (tmp_path / f"{name}.json").write_text(json.dumps(
-            {"group": "z:1000000000", "classes": {colour: []}}))
+def run_capped(*argv):
+    """Run ``main(argv)`` in a child whose address space is capped at 1 GiB.
+
+    Only the child is capped. A command that allocates a huge input before
+    checking its size dies there with MemoryError instead of exhausting the
+    host that runs the tests.
+    """
     child = ("import resource, sys; "
              "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
              "from flipforge.cli import main; sys.exit(main(sys.argv[1:]))")
     src = os.path.dirname(os.path.dirname(flipforge.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "pack", "--first", str(tmp_path / "first.json"),
-         "--second", str(tmp_path / "second.json")],
+    return subprocess.run(
+        [sys.executable, "-c", child, *argv],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src})
+
+
+def test_pack_empty_classes_over_huge_group_exits_2(tmp_path):
+    """Empty classes pass every set check, so only the size check stops the
+    build of the 10^9 vertices."""
+    for name, colour in (("first", "1"), ("second", "2")):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"group": "z:1000000000", "classes": {colour: []}}))
+    proc = run_capped("pack", "--first", str(tmp_path / "first.json"),
+                      "--second", str(tmp_path / "second.json"))
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
         "error: group order 1000000000 exceeds enumeration limit 1000000\n")
+
+
+def test_verify_huge_vertex_count_exits_2(tmp_path):
+    """A 60-byte file must not make the graph allocate 10^12 adjacency lists."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": 1000000000000, "colours": 1, "edges": []}')
+    proc = run_capped("verify", "--in", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: vertex count 1000000000000 exceeds enumeration limit 1000000\n")
 
 
 def test_merge_command(tmp_path, capsys):

@@ -222,6 +222,16 @@ def test_product_colour_count_mismatch():
         cartesian_product(K2_BLUE, EdgeColouredGraph(2, 3, [(0, 1, 2)]))
 
 
+@pytest.mark.parametrize("product", [strong_product, cartesian_product])
+def test_product_vertex_count_limit(product):
+    """Checked before any product edge or vertex is listed."""
+    g = EdgeColouredGraph(1001, 1, [])
+    h = EdgeColouredGraph(1000, 1, [])
+    with pytest.raises(ValueError) as info:
+        product(g, h)
+    assert str(info.value) == "product vertex count 1001000 exceeds enumeration limit 1000000"
+
+
 def test_strong_product_k2_k2():
     """K2 x K2 strong: red perfect matching inside an otherwise blue K4."""
     g = strong_product(K2_BLUE, K2_RED)

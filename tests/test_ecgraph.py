@@ -4,6 +4,7 @@ The profile routines are the measurement instrument for everything else in
 the package, so they get a dual-implementation cross-check here.
 """
 
+import json
 import random
 
 import pytest
@@ -206,6 +207,40 @@ def test_from_json_rejects_malformed():
         EdgeColouredGraph.from_json('{"vertices": 2, "edges": []}')
     with pytest.raises(ValueError):
         EdgeColouredGraph.from_json_dict({"vertices": 2, "colours": 1, "edges": [[0, 1]]})
+
+
+@st.composite
+def json_graphs(draw):
+    """Up to 12 colours, vertex ids of up to four digits, possibly no edges or no vertices."""
+    n = draw(st.integers(0, 2000))
+    k = draw(st.integers(1, 12))
+    kept = {}
+    if n >= 2:
+        # Ids from both ends of the range, so wide ones are common.
+        vertex = st.integers(0, n - 1) | st.integers(0, n - 1).map(lambda x: n - 1 - x)
+        for u, v, c in draw(st.lists(st.tuples(vertex, vertex, st.integers(1, k)), max_size=60)):
+            if u != v:
+                kept.setdefault((min(u, v), max(u, v)), c)
+    return EdgeColouredGraph(n, k, [(u, v, c) for (u, v), c in kept.items()])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(json_graphs())
+def test_to_json_is_the_indent_2_layout(g):
+    text = g.to_json()
+    assert text == json.dumps(g.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert EdgeColouredGraph.from_json(text) == g
+
+
+@pytest.mark.parametrize("first", range(4))
+def test_from_json_names_the_first_malformed_row(first):
+    bad = [[0, 1], [0, 1, True], [0, "1", 1], [0, 1, 1.0]]
+    rows = [[0, 1, 1], *bad[first:], [1, 2, 1], *bad[:first]]
+    text = json.dumps({"vertices": 3, "colours": 1, "edges": rows})
+    expected = ["(0, 1)", "(0, 1, True)", "(0, '1', 1)", "(0, 1, 1.0)"][first]
+    with pytest.raises(ValueError) as info:
+        EdgeColouredGraph.from_json(text)
+    assert str(info.value) == f"malformed edge entry {expected}"
 
 
 def test_to_dot():

@@ -1,6 +1,7 @@
 """End-to-end construction pipelines: two-colour builds, layers, amplification."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -125,11 +126,19 @@ def test_build_br_landmarks():
         assert report.uniform_e_chain == chain
 
 
+def assert_indent_2_layout(graph):
+    """Compared as lists of lines: a failure then names the first differing
+    line at once, where pytest's text diff of megabytes takes minutes."""
+    expected = json.dumps(graph.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert graph.to_json().split("\n") == expected.split("\n")
+
+
 def test_build_br_big_case():
     graph, report = build_br(plan_br(42, 135))
     assert graph.vertex_count == 616
     assert report.passed
     assert report.uniform_e_chain == (265, 155)
+    assert_indent_2_layout(graph)
 
 
 def test_build_br_e2_above_small_range():
@@ -381,6 +390,16 @@ def test_build_gaps_small_materialized():
     # the predicted violation is the only reason the flip check fails
     assert not result.flip_report.passed
     assert {reason for _, reason in result.flip_report.violations} == {"chain-not-strict"}
+
+
+def test_amplified_graph_json_is_the_indent_2_layout():
+    """The (4, 5) prefix amplified by the relaxed q = 2, k = 5, t = 1 plan."""
+    prefix, report = build_br(plan_br(4, 5))
+    plan = _make_gaps_plan(2, 5, report.uniform_e_chain, report.colour_degrees, 1,
+                           prefix.vertex_count, enforce=False)
+    graph = build_gaps(plan, prefix).graph
+    assert graph.vertex_count == 3840
+    assert_indent_2_layout(graph)
 
 
 def test_build_gaps_respects_limit():
