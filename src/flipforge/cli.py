@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -27,8 +26,6 @@ from .pipelines import (
     plan_br,
 )
 from .setalg import GroupSubset
-
-MATERIALIZE_LIMIT_ENV = "FLIPFORGE_MATERIALIZE_LIMIT"
 
 
 def _dump_json(data: dict) -> str:
@@ -69,18 +66,6 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 def _format_vector(values: Sequence[int]) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
-
-
-def _materialize_limit(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(MATERIALIZE_LIMIT_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{MATERIALIZE_LIMIT_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_MATERIALIZE_LIMIT
 
 
 def _parse_class_flag(spec_text: str, flag: str) -> tuple[int, list]:
@@ -209,7 +194,7 @@ def _cmd_gaps_plan(args: argparse.Namespace) -> int:
     plan = _make_gaps_plan(q, k, prefix_e, prefix_deg, args.t, prefix_order, enforce=False)
     _write_text(args.out, _dump_json(plan.to_json_dict()))
 
-    limit = _materialize_limit(args.materialize_limit)
+    limit = args.materialize_limit
     if plan.order_estimate > limit:
         print(f"materialization skipped: estimated order {plan.order_estimate} > limit {limit}")
     else:
@@ -303,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix-e", dest="prefix_e", help="closed counts on colours 1..q")
     p.add_argument("--prefix-deg", dest="prefix_deg", help="degrees on colours 1..q")
     p.add_argument("--t", type=int, help="matching multiplicity override")
-    p.add_argument("--materialize-limit", dest="materialize_limit", type=int)
+    p.add_argument("--materialize-limit", dest="materialize_limit", type=int,
+                   default=DEFAULT_MATERIALIZE_LIMIT)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gaps_plan)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .group import ENUMERATION_LIMIT
 
@@ -54,7 +54,8 @@ class EdgeColouredGraph:
                 f"vertex count {vertex_count} exceeds enumeration limit {ENUMERATION_LIMIT}")
         if colour_count < 1:
             raise ValueError(f"colour count must be >= 1, got {colour_count}")
-        pair: dict[tuple[int, int], int] = {}
+        # One {neighbour: colour} dict per vertex; it also collapses repeated edges.
+        adj: list[dict[int, int]] = [{} for _ in range(vertex_count)]
         for item in edges:
             u, v, c = item
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -63,19 +64,16 @@ class EdgeColouredGraph:
                 raise ValueError(f"loop edges are not allowed: {item}")
             if not (1 <= c <= colour_count):
                 raise ValueError(f"colour {c} outside 1..{colour_count}: {item}")
-            key = (u, v) if u < v else (v, u)
-            seen = pair.get(key)
-            if seen is not None and seen != c:
+            seen = adj[u].setdefault(v, c)
+            if seen != c:
+                key = (u, v) if u < v else (v, u)
                 raise ValueError(f"vertex pair {key} carries two colours: {seen} and {c}")
-            pair[key] = c
+            adj[v][u] = c
         self.vertex_count = vertex_count
         self.colour_count = colour_count
-        self.edges = tuple(sorted((u, v, c) for (u, v), c in pair.items()))
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-        for (u, v), c in pair.items():
-            adj[u].append((v, c))
-            adj[v].append((u, c))
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self.edges = tuple((u, v, nbrs[v]) for u, nbrs in enumerate(adj)
+                           for v in sorted(nbrs) if v > u)
+        self._adj = tuple(adj)
 
     def __setattr__(self, name, value):
         if hasattr(self, "_adj"):
@@ -98,11 +96,11 @@ class EdgeColouredGraph:
     def neighbours(self, v: int) -> tuple[tuple[int, int], ...]:
         """Sorted (neighbour, colour) pairs of v."""
         self._check_vertex(v)
-        return self._adj[v]
+        return tuple(sorted(self._adj[v].items()))
 
     def closed_neighbourhood(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
-        return frozenset([v] + [w for w, _ in self._adj[v]])
+        return frozenset([v, *self._adj[v]])
 
     def count_coloured_edges(self, vertices: Iterable[int], colour: int) -> int:
         """Number of colour-j edges with both endpoints in the given set."""
@@ -113,19 +111,12 @@ class EdgeColouredGraph:
             self._check_vertex(v)
         return sum(1 for u, v, c in self.edges if c == colour and u in s and v in s)
 
-    def degree_vector(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        deg = [0] * self.colour_count
-        for _, c in self._adj[v]:
-            deg[c - 1] += 1
-        return tuple(deg)
-
     def vertex_profile(self, v: int) -> VertexColourProfile:
         """Profile of v: degrees from its adjacency, open counts from the
         graph's triangle-listing pass, which runs on the first call only."""
         self._check_vertex(v)
         deg = [0] * self.colour_count
-        for _, c in self._adj[v]:
+        for c in self._adj[v].values():
             deg[c - 1] += 1
         try:
             open_counts = self._open[v]
@@ -147,7 +138,7 @@ class EdgeColouredGraph:
         rank = [0] * self.vertex_count
         for r, v in enumerate(sorted(range(self.vertex_count), key=lambda v: (len(adj[v]), v))):
             rank[v] = r
-        fwd = [{w: c for w, c in nbrs if rank[w] > rank[v]} for v, nbrs in enumerate(adj)]
+        fwd = [{w: c for w, c in nbrs.items() if rank[w] > rank[v]} for v, nbrs in enumerate(adj)]
         counts = [[0] * self.colour_count for _ in adj]
         for u, fu in enumerate(fwd):
             cu = counts[u]
@@ -175,13 +166,6 @@ class EdgeColouredGraph:
                 else:
                     deg[c - 1] += 1
         return VertexColourProfile(v, tuple(deg), tuple(closed), tuple(open_counts))
-
-    def is_colour_regular(self, a: Sequence[int]) -> bool:
-        """True when deg_j(v) = a_j for every vertex v and colour j."""
-        if len(a) != self.colour_count:
-            raise ValueError(f"expected {self.colour_count} colour degrees, got {len(a)}")
-        target = tuple(a)
-        return all(self.degree_vector(v) == target for v in range(self.vertex_count))
 
     def with_colour_count(self, colour_count: int) -> "EdgeColouredGraph":
         """Same edges, wider colour range."""

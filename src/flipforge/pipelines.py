@@ -583,10 +583,11 @@ def build_gaps(
 
     Always verifies the prefix against the plan profile and builds the
     Cartesian core (prefix times layer), auditing the core's profile at every
-    vertex. The full strong product is materialised only when its order fits
-    within materialize_limit; its audit reads the single per-vertex profile
-    pass of verify_flip, whose report must show the predicted degrees and a
-    uniform closed-count chain equal to the predicted one.
+    vertex. The amplifier and the full strong product are built only when the
+    product's order, 2 * part_size * |core|, fits within materialize_limit;
+    the product's audit reads the single per-vertex profile pass of
+    verify_flip, whose report must show the predicted degrees and a uniform
+    closed-count chain equal to the predicted one.
     """
     q, k = plan.q, plan.k
     _verify_prefix_graph(prefix, plan)
@@ -596,12 +597,7 @@ def build_gaps(
     core_deg = tuple(plan.prefix_deg) + tuple(k - j for j in range(q + 1, k)) + (0,)
     _expect_profile(core, core_deg, _full_closed_chain(k, q, plan.prefix_e), "core")
 
-    amplifier = bipartite_matching_graph(MatchingColourPlan(
-        part_size=plan.part_size,
-        colour_count=k,
-        assignments=plan.matching_assignments,
-    ))
-    g_order = amplifier.vertex_count * core.vertex_count
+    g_order = 2 * plan.part_size * core.vertex_count
     if g_order > materialize_limit:
         return GapsResult(
             plan=plan,
@@ -612,6 +608,11 @@ def build_gaps(
             flip_report=None,
         )
 
+    amplifier = bipartite_matching_graph(MatchingColourPlan(
+        part_size=plan.part_size,
+        colour_count=k,
+        assignments=plan.matching_assignments,
+    ))
     graph = strong_product(amplifier, core)
     report = verify_flip(graph)
     if report.colour_degrees != plan.deg_at_t or report.uniform_e_chain != plan.e_at_t:

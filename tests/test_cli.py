@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import flipforge
-from flipforge.cli import MATERIALIZE_LIMIT_ENV, main
+from flipforge.analysis import verify_flip
+from flipforge.cli import main
 from flipforge.ecgraph import EdgeColouredGraph
 
 C4_JSON = json.dumps({
@@ -168,7 +169,7 @@ def test_cayley_command(tmp_path, capsys):
     assert rc == 0
     graph = EdgeColouredGraph.from_json(out_path.read_text())
     assert graph.vertex_count == 7
-    assert graph.is_colour_regular((2, 2))
+    assert verify_flip(graph).colour_degrees == (2, 2)
 
 
 def test_cayley_multi_factor_group(capsys):
@@ -178,7 +179,7 @@ def test_cayley_multi_factor_group(capsys):
     assert rc == 0
     graph = EdgeColouredGraph.from_json(out)
     assert graph.vertex_count == 12
-    assert graph.is_colour_regular((2, 0))
+    assert verify_flip(graph).colour_degrees == (2, 0)
 
 
 def test_cayley_invalid_class(capsys):
@@ -322,19 +323,14 @@ def test_gaps_plan_needs_prefix(capsys):
     assert "prefix" in err
 
 
-def test_gaps_plan_materialize_limit_flag_and_env(capsys, monkeypatch):
+def test_gaps_plan_materialize_limit_flag(capsys):
     args = ("gaps-plan", "--q", "2", "--k", "9",
             "--prefix-e", "140,135", "--prefix-deg", "42,135")
     rc, out, _ = run(capsys, *args, "--materialize-limit", "1000")
     assert rc == 0
     assert "materialization skipped: estimated order 129920 > limit 1000" in out
-
-    monkeypatch.setenv(MATERIALIZE_LIMIT_ENV, "2000")
     rc, out, _ = run(capsys, *args)
-    assert "limit 2000" in out
-    # explicit flag wins over the environment
-    rc, out, _ = run(capsys, *args, "--materialize-limit", "300000")
-    assert "materialization feasible" in out
+    assert "materialization feasible: estimated order 129920 <= limit 200000" in out
 
 
 def test_search_sumfree_command(capsys):

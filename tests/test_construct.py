@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flipforge.analysis import verify_flip
 from flipforge.construct import (
     ColouredConnectingSet,
     MatchingColourPlan,
@@ -126,7 +127,7 @@ def test_cayley_build_small():
     g = cayley_build(ccs)
     assert g.vertex_count == 7
     assert len(g.edges) == 14
-    assert g.is_colour_regular((2, 2))
+    assert verify_flip(g).colour_degrees == (2, 2)
     # neighbours of the identity vertex are exactly the connecting elements
     assert g.neighbours(0) == ((1, 1), (2, 2), (5, 2), (6, 1))
     # vertex transitivity: every profile matches the identity's

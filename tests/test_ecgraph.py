@@ -44,6 +44,74 @@ def test_constructor_validation():
         EdgeColouredGraph(2, 2, [(0, 1, 1), (1, 0, 2)])  # one pair, two colours
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1, 1), (1, 0, 2)], "vertex pair (0, 1) carries two colours: 1 and 2"),
+    ([(1, 0, 2), (0, 1, 1)], "vertex pair (0, 1) carries two colours: 2 and 1"),
+    ([(2, 1, 1), (1, 2, 1), (2, 1, 3)], "vertex pair (1, 2) carries two colours: 1 and 3"),
+])
+def test_two_colours_on_one_pair_message(edges, message):
+    with pytest.raises(ValueError) as info:
+        EdgeColouredGraph(3, 3, edges)
+    assert str(info.value) == message
+
+
+def reference_build(vertex_count, edges):
+    """The pair-dict constructor the adjacency dicts replaced: one dict entry
+    per vertex pair, then sorted edges and sorted (neighbour, colour) lists."""
+    pair = {}
+    for u, v, c in edges:
+        key = (u, v) if u < v else (v, u)
+        seen = pair.get(key)
+        if seen is not None and seen != c:
+            raise ValueError(f"vertex pair {key} carries two colours: {seen} and {c}")
+        pair[key] = c
+    adj = [[] for _ in range(vertex_count)]
+    for (u, v), c in pair.items():
+        adj[u].append((v, c))
+        adj[v].append((u, c))
+    edges = tuple(sorted((u, v, c) for (u, v), c in pair.items()))
+    return edges, tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges in any order and orientation, some repeated, over vertices that
+    include isolated ones; in about a quarter of the lists one pair is
+    repeated with a second colour."""
+    n = draw(st.integers(2, 30))
+    k = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    kept = {}
+    for u, v, c in draw(st.lists(st.tuples(vertex, vertex, st.integers(1, k)), max_size=120)):
+        if u != v:
+            kept.setdefault((min(u, v), max(u, v)), c)
+    flips = draw(st.lists(st.booleans(), min_size=len(kept), max_size=len(kept)))
+    edges = [(v, u, c) if flip else (u, v, c) for ((u, v), c), flip in zip(kept.items(), flips)]
+    if edges:
+        repeats = draw(st.lists(st.sampled_from(edges), max_size=20))
+        edges += [(v, u, c) for u, v, c in repeats[::2]] + repeats[1::2]
+        if k > 1 and draw(st.integers(0, 3)) == 0:
+            u, v, c = draw(st.sampled_from(edges))
+            edges.append((u, v, draw(st.integers(1, k).filter(lambda x: x != c))))
+    return n + draw(st.integers(0, 5)), k, draw(st.permutations(edges))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(edge_lists())
+def test_constructor_matches_pair_dict_reference(case):
+    n, k, edges = case
+    try:
+        expected_edges, expected_adj = reference_build(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            EdgeColouredGraph(n, k, edges)
+        assert str(info.value) == str(exc)
+        return
+    g = EdgeColouredGraph(n, k, edges)
+    assert g.edges == expected_edges
+    assert tuple(g.neighbours(v) for v in range(n)) == expected_adj
+
+
 def test_duplicate_edges_collapse():
     g = EdgeColouredGraph(2, 1, [(0, 1, 1), (1, 0, 1)])
     assert g.edges == ((0, 1, 1),)
@@ -60,6 +128,7 @@ def test_edges_canonical_and_hashable():
 def test_neighbours_and_edge_colour():
     g = C4_ALTERNATING
     assert g.neighbours(0) == ((1, 1), (3, 2))
+    assert type(g.neighbours(0)) is tuple  # a copy, never the adjacency dict itself
     assert g.closed_neighbourhood(0) == frozenset({0, 1, 3})
 
 
@@ -83,7 +152,6 @@ def test_profile_cross_check():
             fast = g.vertex_profile(v)
             slow = g.profile_by_edge_scan(v)
             assert fast == slow, f"profile mismatch at {v} of {g!r}"
-            assert fast.deg == g.degree_vector(v)
 
 
 @st.composite
@@ -166,16 +234,8 @@ def test_degree_handshake():
     for _ in range(30):
         g = random_graph(rng)
         for c in range(1, g.colour_count + 1):
-            total = sum(g.degree_vector(v)[c - 1] for v in range(g.vertex_count))
+            total = sum(g.vertex_profile(v).deg[c - 1] for v in range(g.vertex_count))
             assert total == 2 * sum(1 for e in g.edges if e[2] == c)
-
-
-def test_is_colour_regular():
-    g = C4_ALTERNATING
-    assert g.is_colour_regular((1, 1))
-    assert not g.is_colour_regular((1, 2))
-    with pytest.raises(ValueError):
-        g.is_colour_regular((1,))
 
 
 def test_with_colour_count():
@@ -271,4 +331,4 @@ def test_empty_graph():
     assert g.edges == ()
     assert EdgeColouredGraph.from_json(g.to_json()) == g
     with pytest.raises(ValueError):
-        g.degree_vector(0)
+        g.vertex_profile(0)

@@ -412,6 +412,22 @@ def test_build_gaps_respects_limit():
     assert result.core.vertex_count == 160
 
 
+def test_build_gaps_sizes_the_product_before_building_it(monkeypatch):
+    """Over the limit, neither the amplifier nor the product is built."""
+    prefix, report = build_br(plan_br(4, 5))
+    plan = _make_gaps_plan(2, 5, report.uniform_e_chain, report.colour_degrees, 2000,
+                           prefix.vertex_count, enforce=False)
+
+    def refuse(plan):
+        raise AssertionError("amplifier built over the limit")
+
+    monkeypatch.setattr(pipelines, "bipartite_matching_graph", refuse)
+    result = build_gaps(plan, prefix)
+    assert result.materialized is False
+    assert result.g_order == 3_841_920
+    assert result.graph is None
+
+
 def test_build_gaps_profiles_each_vertex_once(monkeypatch):
     """Prefix, layer and core are audited once each; the amplified graph's
     audit reads verify_flip's pass instead of profiling every vertex again."""
