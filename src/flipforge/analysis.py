@@ -260,12 +260,12 @@ def search_sumfree_inverse_closed(
         # A candidate's size is its atom count plus its two-element atom count,
         # so masks no larger than the best so far are skipped before any set is built.
         pair_atoms = sum(1 << i for i, atom in enumerate(atoms) if len(atom) == 2)
+        examined = 1 << len(atoms)
+        if budget is not None and budget < examined:
+            raise ValueError(
+                f"exhaustive search budget {budget} exceeded after {max(budget, 0)} candidates")
         best: frozenset = frozenset()
-        examined = 0
-        for mask in range(1 << len(atoms)):
-            if budget is not None and examined >= budget:
-                raise ValueError(f"exhaustive search budget {budget} exceeded after {examined} candidates")
-            examined += 1
+        for mask in range(examined):
             if mask.bit_count() + (mask & pair_atoms).bit_count() <= len(best):
                 continue
             members = frozenset(

@@ -226,22 +226,6 @@ class PackingDeltaReport:
     def identity_holds(self) -> bool:
         return self.delta_direct == self.delta_formula
 
-    def to_json_dict(self) -> dict:
-        return {
-            "group": self.spec.to_text(),
-            "blue": format_elements(self.blue.elements),
-            "red": format_elements(self.red.elements),
-            "delta_direct": self.delta_direct,
-            "delta_formula": self.delta_formula,
-            "e1_blue_closed": self.e1_blue_closed,
-            "e2_red_closed": self.e2_red_closed,
-            "red_edges_in_blue_nbhd": self.red_edges_in_blue_nbhd,
-            "blue_edges_in_red_nbhd": self.blue_edges_in_red_nbhd,
-            "product_condition": self.product_condition,
-            "dominance": self.dominance,
-            "flip_at_identity": self.flip_at_identity,
-        }
-
 
 def packing_delta(spec: GroupSpec, blue: GroupSubset, red: GroupSubset) -> PackingDeltaReport:
     """Pack blue as colour 1 and red as colour 2, then audit e_1 - e_2 at identity."""
@@ -296,13 +280,6 @@ class MatchingColourPlan:
         for c in self.assignments:
             if not (1 <= c <= self.colour_count):
                 raise ValueError(f"matching colour {c} outside 1..{self.colour_count}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "part_size": self.part_size,
-            "colour_count": self.colour_count,
-            "assignments": list(self.assignments),
-        }
 
 
 def bipartite_matching_graph(plan: MatchingColourPlan) -> EdgeColouredGraph:

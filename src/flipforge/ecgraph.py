@@ -227,9 +227,9 @@ class EdgeColouredGraph:
             raise ValueError(f"malformed graph JSON: {exc}") from None
         return EdgeColouredGraph.from_json_dict(data)
 
-    def to_dot(self, name: str = "G") -> str:
-        """GraphViz text, one edge per line, colour drawn from a fixed palette."""
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        """GraphViz text for a graph named G, one edge per line, colour from a fixed palette."""
+        lines = ["graph G {"]
         for u, v, c in self.edges:
             colour = DOT_PALETTE[(c - 1) % len(DOT_PALETTE)]
             lines.append(f'  {u} -- {v} [color="{colour}", label="{c}"];')

@@ -57,9 +57,6 @@ class GroupSpec:
         a = self.element(x)
         return tuple((-p) % n for p, n in zip(a, self.factors))
 
-    def sub(self, x: ElementLike, y: ElementLike) -> GroupElement:
-        return self.add(x, self.neg(y))
-
     def check_enumerable(self) -> None:
         """Raise when the group is too large to list; run before any per-element allocation."""
         if self.order > ENUMERATION_LIMIT:

@@ -22,11 +22,10 @@ from .construct import (
     bipartite_matching_graph,
     cartesian_product,
     cayley_build,
-    pack_cayley,
     strong_product,
 )
 from .ecgraph import EdgeColouredGraph
-from .group import GroupSpec, cyclic, format_elements
+from .group import ENUMERATION_LIMIT, GroupSpec, cyclic, format_elements
 from .setalg import (
     GroupSubset,
     ResidueInterval,
@@ -113,9 +112,6 @@ def plan_br(b: int, r: int) -> BrPlan:
     if red_base.hi >= blue_base.lo:
         raise VerificationError(
             f"interval placement collided for b={b} r={r}: red ends {red_base.hi}, blue starts {blue_base.lo}")
-    if 16 * blue_double.lo < 3 * n:
-        raise VerificationError(
-            f"doubled interval start {blue_double.lo} below 3n/16 for b={b} r={r}")
 
     report = interval_sumset_check(n, red_base, blue_base, blue_double)
     if not (report.b1_hypothesis_met and report.all_asserted_hold):
@@ -203,9 +199,7 @@ def build_br(plan: BrPlan) -> tuple[EdgeColouredGraph, FlipReport]:
     the excess e_2 - r is visible in the returned report, and the flip
     property still holds, so the equality is reported rather than enforced.
     """
-    blue_only = ColouredConnectingSet.of(plan.group, {1: plan.blue_set}, colour_count=2)
-    red_only = ColouredConnectingSet.of(plan.group, {2: plan.red_set}, colour_count=2)
-    graph = pack_cayley(blue_only, red_only)
+    graph = cayley_build(ColouredConnectingSet.of(plan.group, {1: plan.blue_set, 2: plan.red_set}))
 
     expected_order = plan.parity_factor * plan.n
     if graph.vertex_count != expected_order:
@@ -238,6 +232,14 @@ def _layer_sizes(k: int, q: int) -> list[int]:
     return [k - q - j for j in range(1, k - q)]  # sizes k-q-1 down to 1
 
 
+def _core_vector(k: int, q: int, prefix: Sequence[int]) -> tuple[int, ...]:
+    """The core's degrees or closed counts: the prefix's, then the layer's k-q-1 down to 1, then 0.
+
+    The layer's degrees and closed counts are both its class sizes.
+    """
+    return tuple(prefix) + tuple(_layer_sizes(k, q)) + (0,)
+
+
 def _layer_shape(k: int, q: int) -> tuple[int, int, int]:
     """(a, m, lo) for the layer group Z_2^a x Z_m, in closed form.
 
@@ -266,6 +268,7 @@ def _layer_classes(k: int, q: int) -> ColouredConnectingSet:
     sizes = _layer_sizes(k, q)
     a, m, lo = _layer_shape(k, q)
     spec = GroupSpec((2,) * a + (m,))
+    spec.check_enumerable()
     eps_list = list(GroupSpec((2,) * a).elements()) if a else [()]
     pair_pool = [
         (eps + (x,), eps + (m - x,))
@@ -418,11 +421,6 @@ class GapsPlan:
         }
 
 
-def _full_closed_chain(k: int, q: int, prefix_e: Sequence[int]) -> list[int]:
-    """Closed counts of the core product: prefix values, then k-i, then 0."""
-    return list(prefix_e) + [k - i for i in range(q + 1, k)] + [0]
-
-
 def _make_gaps_plan(
     q: int,
     k: int,
@@ -434,6 +432,8 @@ def _make_gaps_plan(
 ) -> GapsPlan:
     if q < 1:
         raise ValueError(f"q must be >= 1, got q={q}")
+    if k > ENUMERATION_LIMIT:
+        raise ValueError(f"colour count k={k} exceeds enumeration limit {ENUMERATION_LIMIT}")
     prefix_e = tuple(int(x) for x in prefix_e)
     prefix_deg = tuple(int(x) for x in prefix_deg)
     if len(prefix_e) != q or len(prefix_deg) != q:
@@ -455,14 +455,12 @@ def _make_gaps_plan(
     # the gap condition D_q*(k-4q) > 1 + gap*q*(q-1) + 5*C(k-q,2)
     gap_slack = prefix_e[-1] * (k - 4 * q) - (1 + prefix_gap * q * (q - 1) + 5 * layer_pairs)
 
-    chain = _full_closed_chain(k, q, prefix_e)
-    core_degree = layer_pairs + sum(prefix_deg)
-    chain_total = sum(chain)
-    tail_gaps = [chain[i - 1] - chain[i] for i in range(q + 1, k)]
-    min_tail_gap = min(tail_gaps) if tail_gaps else 1
-    if min_tail_gap <= 0:
-        raise ValueError(f"amplified closed counts must decrease, gaps {tail_gaps}")
-    t_min = -(-(1 + core_degree + 2 * chain_total) // (spread * min_tail_gap))
+    core_deg = _core_vector(k, q, prefix_deg)
+    chain = _core_vector(k, q, prefix_e)
+    core_degree = sum(core_deg)
+    cross = 1 + core_degree + 2 * sum(chain)
+    # Every gap in the core's closed counts after colour q is 1.
+    t_min = -(-cross // spread)
     if t is None:
         t = t_min
     if t < 1:
@@ -470,17 +468,15 @@ def _make_gaps_plan(
 
     part_size = spread * t + layer_pairs
     part_ratio = Fraction(part_size + 1, spread * t)
-    cross = 1 + core_degree + 2 * chain_total
 
     deg_affine = []
     e_affine = []
     for j in range(1, k + 1):
         if j <= q:
-            deg_affine.append((prefix_deg[j - 1], 0))
+            deg_affine.append((core_deg[j - 1], 0))
             e_affine.append((chain[j - 1] * (layer_pairs + 1), chain[j - 1] * spread))
         else:
-            base_deg = k - j if j < k else 0
-            deg_affine.append((base_deg + (j - q - 1) * (1 + core_degree), 1 + core_degree))
+            deg_affine.append((core_deg[j - 1] + (j - q - 1) * (1 + core_degree), 1 + core_degree))
             e_affine.append((
                 chain[j - 1] * (layer_pairs + 1) + (j - q - 1) * cross,
                 chain[j - 1] * spread + cross,
@@ -542,9 +538,9 @@ def plan_gaps(
     A plan with problems (q outside 1 < q < k/4, a gap condition without
     positive slack, t_override below t_min, a chain that is not strictly
     monotone) raises one ValueError that lists every entry of
-    GapsPlan.problems, joined by "; ". Malformed input (prefix vectors of the
-    wrong length or order, fewer than two amplified colours, t < 1, or
-    amplified closed counts that do not decrease) raises on its own.
+    GapsPlan.problems, joined by "; ". Malformed input (k above the
+    enumeration limit, prefix vectors of the wrong length or order, fewer
+    than two amplified colours, or t < 1) raises on its own.
     """
     return _make_gaps_plan(q, k, prefix_e, prefix_deg, t_override, prefix_order, enforce=True)
 
@@ -594,8 +590,8 @@ def build_gaps(
     layer = _build_layer(k, q)
 
     core = cartesian_product(prefix.with_colour_count(k), layer.with_colour_count(k))
-    core_deg = tuple(plan.prefix_deg) + tuple(k - j for j in range(q + 1, k)) + (0,)
-    _expect_profile(core, core_deg, _full_closed_chain(k, q, plan.prefix_e), "core")
+    _expect_profile(
+        core, _core_vector(k, q, plan.prefix_deg), _core_vector(k, q, plan.prefix_e), "core")
 
     g_order = 2 * plan.part_size * core.vertex_count
     if g_order > materialize_limit:

@@ -31,9 +31,6 @@ class GroupSubset:
     def __contains__(self, item: ElementLike) -> bool:
         return self.spec.element(item) in self.elements
 
-    def sorted_elements(self) -> list[GroupElement]:
-        return sorted(self.elements)
-
     def union(self, other: "GroupSubset") -> "GroupSubset":
         _check_same_spec(self, other)
         return GroupSubset(self.spec, self.elements | other.elements)

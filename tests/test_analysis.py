@@ -216,7 +216,7 @@ def brute_force_maximum(spec):
 def test_search_exhaustive_z7():
     result = search_sumfree_inverse_closed(cyclic(7))
     assert result.size == 2
-    assert result.subset.sorted_elements() == [(1,), (6,)]
+    assert sorted(result.subset.elements) == [(1,), (6,)]
     assert result.optimal
     assert result.examined == 8  # three atoms
     assert result.size == brute_force_maximum(cyclic(7))
@@ -225,7 +225,7 @@ def test_search_exhaustive_z7():
 def test_search_exhaustive_z8():
     result = search_sumfree_inverse_closed(cyclic(8))
     assert result.size == 4
-    assert result.subset.sorted_elements() == [(1,), (3,), (5,), (7,)]
+    assert sorted(result.subset.elements) == [(1,), (3,), (5,), (7,)]
     assert result.examined == 16
     assert result.size == brute_force_maximum(cyclic(8))
 
@@ -233,7 +233,7 @@ def test_search_exhaustive_z8():
 def test_search_exhaustive_z2():
     result = search_sumfree_inverse_closed(cyclic(2))
     assert result.size == 1
-    assert result.subset.sorted_elements() == [(1,)]
+    assert sorted(result.subset.elements) == [(1,)]
 
 
 def test_search_found_sets_are_valid():
@@ -257,9 +257,18 @@ def test_search_exhaustive_budget_exceeded():
         search_sumfree_inverse_closed(cyclic(8), budget=5)
 
 
+def test_search_exhaustive_budget_boundary():
+    """Z_8 has four atoms, so a budget of 16 masks is exactly enough."""
+    assert search_sumfree_inverse_closed(cyclic(8), budget=16).examined == 16
+    for budget in (15, 0):
+        with pytest.raises(ValueError, match=(
+                f"^exhaustive search budget {budget} exceeded after {budget} candidates$")):
+            search_sumfree_inverse_closed(cyclic(8), budget=budget)
+
+
 def test_search_greedy():
     result = search_sumfree_inverse_closed(cyclic(8), mode="greedy")
-    assert result.subset.sorted_elements() == [(1,), (3,), (5,), (7,)]
+    assert sorted(result.subset.elements) == [(1,), (3,), (5,), (7,)]
     assert not result.optimal
     assert not result.budget_exhausted
     assert result.examined == 4
@@ -269,7 +278,7 @@ def test_search_greedy_budget():
     result = search_sumfree_inverse_closed(cyclic(8), mode="greedy", budget=2)
     assert result.budget_exhausted
     assert result.examined == 2
-    assert result.subset.sorted_elements() == [(1,), (7,)]
+    assert sorted(result.subset.elements) == [(1,), (7,)]
 
 
 def test_search_greedy_large_group():

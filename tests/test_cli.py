@@ -253,6 +253,15 @@ def test_verify_huge_vertex_count_exits_2(tmp_path):
         "error: vertex count 1000000000000 exceeds enumeration limit 1000000\n")
 
 
+def test_gaps_plan_huge_k_exits_2():
+    """The plan's per-colour lists are O(k) long, so k is bounded before they are built."""
+    proc = run_capped("gaps-plan", "--q", "2", "--k", "10000000",
+                      "--prefix-e", "5000,4000", "--prefix-deg", "100,200")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: colour count k=10000000 exceeds enumeration limit 1000000\n"
+
+
 def test_merge_command(tmp_path, capsys):
     path = tmp_path / "g.json"
     run(capsys, "construct-br", "--b", "4", "--r", "5", "--out", str(path))

@@ -42,7 +42,7 @@ def test_arithmetic():
     assert spec.add((1, 20), (1, 10)) == (0, 2)
     assert spec.neg((1, 5)) == (1, 23)
     assert spec.neg((0, 0)) == (0, 0)
-    assert spec.sub((0, 3), (0, 5)) == (0, 26)
+    assert spec.add((0, 3), spec.neg((0, 5))) == (0, 26)
 
 
 def test_group_axioms_random():

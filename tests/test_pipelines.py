@@ -9,6 +9,7 @@ import pytest
 
 import flipforge.pipelines as pipelines
 from flipforge.analysis import new_bound, parity_factor
+from flipforge.construct import ColouredConnectingSet
 from flipforge.ecgraph import EdgeColouredGraph
 from flipforge.group import GroupSpec, cyclic
 from flipforge.pipelines import (
@@ -39,15 +40,15 @@ def test_plan_br_4_5():
     assert (plan.red_base.lo, plan.red_base.hi) == (6, 7)
     assert (plan.blue_base.lo, plan.blue_base.hi) == (9, 9)
     assert (plan.blue_double.lo, plan.blue_double.hi) == (9, 9)
-    assert plan.blue_set.sorted_elements() == [(9,), (18,), (22,), (31,)]
-    assert plan.red_set.sorted_elements() == [(6,), (7,), (20,), (33,), (34,)]
+    assert sorted(plan.blue_set.elements) == [(9,), (18,), (22,), (31,)]
+    assert sorted(plan.red_set.elements) == [(6,), (7,), (20,), (33,), (34,)]
 
 
 def test_plan_br_6_7():
     plan = plan_br(6, 7)
     assert plan.n == 56
-    assert plan.blue_set.sorted_elements() == [(12,), (13,), (26,), (30,), (43,), (44,)]
-    assert plan.red_set.sorted_elements() == [(8,), (9,), (10,), (28,), (46,), (47,), (48,)]
+    assert sorted(plan.blue_set.elements) == [(12,), (13,), (26,), (30,), (43,), (44,)]
+    assert sorted(plan.red_set.elements) == [(8,), (9,), (10,), (28,), (46,), (47,), (48,)]
     # the doubling interval is the top of the blue base
     assert (plan.blue_base.lo, plan.blue_base.hi) == (12, 13)
     assert (plan.blue_double.lo, plan.blue_double.hi) == (13, 13)
@@ -155,6 +156,20 @@ def test_build_br_rejects_tampered_plan():
         build_br(bad)
 
 
+def test_build_br_builds_one_connecting_set(monkeypatch):
+    """plan_br has audited both sets, so build_br checks them as one connecting set once."""
+    calls = []
+    of = ColouredConnectingSet.of
+
+    def counting_of(*args, **kwargs):
+        calls.append(args)
+        return of(*args, **kwargs)
+
+    monkeypatch.setattr(ColouredConnectingSet, "of", staticmethod(counting_of))
+    build_br(plan_br(4, 5))
+    assert len(calls) == 1
+
+
 def test_plan_json():
     data = plan_br(4, 5).to_json_dict()
     assert data["n"] == 40
@@ -175,7 +190,7 @@ def test_layer_classes_9_2():
     ccs = _layer_classes(9, 2)
     assert ccs.spec == GroupSpec((2, 2, 20))
     assert ccs.colour_count == 8
-    got = {c: subset.sorted_elements() for c, subset in ccs.classes}
+    got = {c: sorted(subset.elements) for c, subset in ccs.classes}
     assert got[3] == [(0, 0, 7), (0, 0, 8), (0, 0, 9), (0, 0, 11), (0, 0, 12), (0, 0, 13)]
     assert got[8] == [(1, 0, 10)]
     # odd-sized classes end on an involution
@@ -212,6 +227,18 @@ def test_build_sumfree_layer_range():
         build_sumfree_layer(7, 2)
     with pytest.raises(ValueError, match="q < k/4"):
         build_sumfree_layer(8, 2)
+
+
+def test_build_sumfree_layer_checks_group_size_first(monkeypatch):
+    """k = 819 is the least q = 2 layer over the limit; k = 818 fits."""
+    def refuse(spec, items):
+        raise AssertionError("the layer's classes must not be built past the limit")
+
+    monkeypatch.setattr(GroupSubset, "of", staticmethod(refuse))
+    with pytest.raises(ValueError, match="^group order 1002496 exceeds enumeration limit 1000000$"):
+        build_sumfree_layer(819, 2)
+    a, m, _ = pipelines._layer_shape(818, 2)
+    assert (1 << a) * m == 999_424
 
 
 # ------------------------------------------------------------------- gaps plans
