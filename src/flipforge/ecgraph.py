@@ -7,15 +7,23 @@ by the closed and open neighbourhoods of v.
 The open counts of every vertex come from one whole-graph pass of the
 forward triangle-listing algorithm (Schank & Wagner, WEA 2005): each
 triangle is listed exactly once and credits its opposite edge's colour to
-each of its three corners, in O(m^1.5) time and O(m) memory. The pass runs
-the first time any vertex of a graph is profiled, and its counts are cached
-on the graph. ``profile_by_edge_scan`` never reads that cache; it is the
-independent oracle the pass is checked against.
+each of its three corners, in O(m^1.5) time. The pass keeps each vertex's
+higher-ranked neighbours in one of two forms. A dense graph gets one integer
+bitset row per vertex and intersects rows with ``&``; a sparse graph gets
+one dict per vertex and intersects key views, in O(m) memory. The rows are
+used only when a bound on their size, worked out from the vertex and edge
+counts before any row is built, is no larger than the dicts they replace
+(see ``EdgeColouredGraph._count_open``). The pass runs the first time any
+vertex of a graph is profiled, and its counts are cached on the graph.
+``profile_by_edge_scan`` never reads that cache; it is the independent
+oracle the pass is checked against.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -23,6 +31,13 @@ from typing import Iterable
 from .group import ENUMERATION_LIMIT
 
 Edge = tuple[int, int, int]
+
+# The interpreter's storage sizes that pick the open-count kernel (see
+# EdgeColouredGraph._count_open): int digits, and a dict entry's hash, key
+# pointer and value pointer.
+_DIGIT_BITS = sys.int_info.bits_per_digit
+_DIGIT_BYTES = sys.int_info.sizeof_digit
+_DICT_ENTRY_BYTES = 3 * struct.calcsize("P")
 
 # One edge row as json.dumps(indent=2) lays it out, two levels deep.
 _JSON_EDGE_ROW = "    [\n      %d,\n      %d,\n      %d\n    ]"
@@ -54,6 +69,14 @@ class EdgeColouredGraph:
                 f"vertex count {vertex_count} exceeds enumeration limit {ENUMERATION_LIMIT}")
         if colour_count < 1:
             raise ValueError(f"colour count must be >= 1, got {colour_count}")
+        # Profiles hold k counters per vertex and the open-count pass one row of k per vertex.
+        if colour_count > ENUMERATION_LIMIT:
+            raise ValueError(
+                f"colour count {colour_count} exceeds enumeration limit {ENUMERATION_LIMIT}")
+        if vertex_count * colour_count > 16 * ENUMERATION_LIMIT:
+            raise ValueError(
+                f"vertex count {vertex_count} times colour count {colour_count} is "
+                f"{vertex_count * colour_count}, over the limit {16 * ENUMERATION_LIMIT}")
         # One {neighbour: colour} dict per vertex; it also collapses repeated edges.
         adj: list[dict[int, int]] = [{} for _ in range(vertex_count)]
         for item in edges:
@@ -129,26 +152,39 @@ class EdgeColouredGraph:
     def _count_open(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex open counts, listing each triangle once (forward algorithm).
 
-        Vertices are ranked by (degree, index) and each keeps a dict of its
-        higher-ranked neighbours. A triangle u < w < x in rank order is found
-        only from the forward edge u->w, as x in both forward dicts; the edge
-        opposite each corner then adds one to that corner's count.
+        Vertices are ranked by (degree, index). A triangle u < w < x in rank
+        order is found only from the forward edge u->w, as a higher-ranked
+        neighbour x common to u and w; the edge opposite each corner then adds
+        one to that corner's count. The higher-ranked neighbours of each
+        vertex are kept in one of two forms:
+
+        - bitset rows (``_open_by_bitsets``): one int per vertex, with bit
+          n-1-r set for each higher-ranked neighbour of rank r. The row of the
+          vertex of rank r has bits below n-1-r only, so the n rows hold at
+          most n(n-1)/2 bits. In 30-bit digits of 4 bytes (``sys.int_info``
+          on 64-bit CPython) that is at most n(n-1)/15 bytes.
+        - forward dicts (``_open_by_dicts``): one {neighbour: colour} dict per
+          vertex, holding each of the m edges once. Each entry takes at least
+          24 bytes (hash, key and value pointers), so at least 24m bytes.
+
+        The rows are built only when their bound is no larger than the dicts'
+        floor, n(n-1)/15 <= 24m, that is n(n-1) <= 360m on 64-bit CPython: an
+        average degree of at least (n-1)/180. Object headers are left out on
+        both sides; an int's is smaller than a dict's. The check uses n and m
+        alone and runs before either form is built. Bits are made by
+        shifting, with no table of powers of two, which would take O(n^2)
+        bits of its own.
         """
         adj = self._adj
-        rank = [0] * self.vertex_count
-        for r, v in enumerate(sorted(range(self.vertex_count), key=lambda v: (len(adj[v]), v))):
+        n = self.vertex_count
+        order = sorted(range(n), key=lambda v: (len(adj[v]), v))
+        rank = [0] * n
+        for r, v in enumerate(order):
             rank[v] = r
-        fwd = [{w: c for w, c in nbrs.items() if rank[w] > rank[v]} for v, nbrs in enumerate(adj)]
-        counts = [[0] * self.colour_count for _ in adj]
-        for u, fu in enumerate(fwd):
-            cu = counts[u]
-            for w, c in fu.items():
-                fw = fwd[w]
-                cw = counts[w]
-                for x in fu.keys() & fw.keys():
-                    counts[x][c - 1] += 1
-                    cw[fu[x] - 1] += 1
-                    cu[fw[x] - 1] += 1
+        if n * (n - 1) * _DIGIT_BYTES <= 2 * _DIGIT_BITS * _DICT_ENTRY_BYTES * len(self.edges):
+            counts = _open_by_bitsets(adj, order, rank, self.colour_count)
+        else:
+            counts = _open_by_dicts(adj, rank, self.colour_count)
         return tuple(map(tuple, counts))
 
     def profile_by_edge_scan(self, v: int) -> VertexColourProfile:
@@ -235,3 +271,61 @@ class EdgeColouredGraph:
             lines.append(f'  {u} -- {v} [color="{colour}", label="{c}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _open_by_bitsets(adj, order, rank, colour_count) -> list[list[int]]:
+    """Open counts from bitset rows: the common higher-ranked neighbours of a
+    forward edge u->w are the bits of ``rows[u] & rows[w]``, taken from the
+    top bit down, so the lowest-ranked first."""
+    top = len(order) - 1
+    bit_of = [top - r for r in rank]
+    rows = []
+    for nbrs, below in zip(adj, bit_of):
+        row = 0
+        for w in nbrs:
+            p = bit_of[w]
+            if p < below:
+                row |= 1 << p
+        rows.append(row)
+    by_bit = order[::-1]
+    counts = [[0] * colour_count for _ in adj]
+    for u, au in enumerate(adj):
+        bu = rows[u]
+        if not bu:
+            continue
+        below = bit_of[u]
+        cu = counts[u]
+        for w, c in au.items():
+            if bit_of[w] >= below:
+                continue
+            common = bu & rows[w]
+            if not common:
+                continue
+            aw = adj[w]
+            cw = counts[w]
+            c -= 1
+            while common:
+                p = common.bit_length() - 1
+                common ^= 1 << p
+                x = by_bit[p]
+                counts[x][c] += 1
+                cw[au[x] - 1] += 1
+                cu[aw[x] - 1] += 1
+    return counts
+
+
+def _open_by_dicts(adj, rank, colour_count) -> list[list[int]]:
+    """Open counts from forward dicts: the common higher-ranked neighbours of
+    a forward edge u->w are the keys both dicts share."""
+    fwd = [{w: c for w, c in nbrs.items() if rank[w] > rank[v]} for v, nbrs in enumerate(adj)]
+    counts = [[0] * colour_count for _ in adj]
+    for u, fu in enumerate(fwd):
+        cu = counts[u]
+        for w, c in fu.items():
+            fw = fwd[w]
+            cw = counts[w]
+            for x in fu.keys() & fw.keys():
+                counts[x][c - 1] += 1
+                cw[fu[x] - 1] += 1
+                cu[fw[x] - 1] += 1
+    return counts

@@ -1,16 +1,23 @@
 """Command line interface: outputs, exit codes, file round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flipforge
 from flipforge.analysis import verify_flip
 from flipforge.cli import main
+from flipforge.construct import ColouredConnectingSet, pack_cayley
 from flipforge.ecgraph import EdgeColouredGraph
+from flipforge.group import parse_group_text
 
 C4_JSON = json.dumps({
     "vertices": 4, "colours": 2,
@@ -253,6 +260,21 @@ def test_verify_huge_vertex_count_exits_2(tmp_path):
         "error: vertex count 1000000000000 exceeds enumeration limit 1000000\n")
 
 
+@pytest.mark.parametrize("vertices, colours, message", [
+    (3, 10**12, "colour count 1000000000000 exceeds enumeration limit 1000000"),
+    (2000, 2 * 10**6, "colour count 2000000 exceeds enumeration limit 1000000"),
+], ids=["three-vertices", "count-table"])
+def test_verify_huge_colour_count_exits_2(tmp_path, vertices, colours, message):
+    """Profiles hold one counter per colour: a huge colour count is refused
+    before the graph allocates them, not met by MemoryError in the profile pass."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": vertices, "colours": colours, "edges": [[0, 1, 1]]}))
+    proc = run_capped("verify", "--in", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_gaps_plan_huge_k_exits_2():
     """The plan's per-colour lists are O(k) long, so k is bounded before they are built."""
     proc = run_capped("gaps-plan", "--q", "2", "--k", "10000000",
@@ -368,3 +390,131 @@ def test_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
     rc, _, err = run(capsys, "construct-br", "--b", "4", "--r", "5")
     assert rc == 1
     assert "verification failure: synthetic audit failure" in err
+
+
+# ------------------------------------------------------ input contract fuzzing
+
+SMALL_INT = st.integers(-2, 9)
+JSON_SCALAR = (st.none() | st.booleans() | SMALL_INT | st.sampled_from([10**12, 2**63, -(10**9)])
+               | st.floats() | st.text(max_size=3))
+JSON_VALUE = st.recursive(
+    JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+def corrupt(draw, doc, items):
+    """Leave a well-formed document alone about half the time; otherwise drop
+    or replace one field, or add a junk entry to one of its lists ``items``."""
+    how = draw(st.sampled_from(["none", "none", "none", "drop", "field", "item"]))
+    key = draw(st.sampled_from(sorted(doc)))
+    if how == "drop":
+        del doc[key]
+    elif how == "field":
+        doc[key] = draw(JSON_VALUE)
+    elif how == "item":
+        entries = draw(st.sampled_from(items))
+        entries.insert(draw(st.integers(0, len(entries))),
+                       draw(JSON_VALUE | st.lists(SMALL_INT, min_size=1, max_size=3)))
+    return doc
+
+
+def as_file_text(draw, doc):
+    """A document as JSON text, or now and then raw text that may not be JSON."""
+    if draw(st.sampled_from(["json"] * 9 + ["raw"])) == "raw":
+        return draw(st.text(max_size=12))
+    return json.dumps(doc)
+
+
+@st.composite
+def graph_files(draw):
+    n = draw(st.integers(0, 8))
+    k = draw(st.integers(1, 3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rows = [[u, v, draw(st.integers(1, k))]
+            for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+            ] if pairs else []
+    return as_file_text(draw, corrupt(draw, {"vertices": n, "colours": k, "edges": rows}, [rows]))
+
+
+@st.composite
+def connecting_set_files(draw):
+    """Two connecting sets over one small group, with colours 1-2 and 3-4,
+    each class a union of inverse pairs, then each possibly corrupted."""
+    text = draw(st.sampled_from(["z:7", "z:8", "z:2,4", "z2xz:3"]))
+    spec = parse_group_text(text)
+    owner = {}
+    for x in spec.elements():
+        if x != spec.identity:
+            owner.setdefault(min(x, spec.neg(x)), draw(st.integers(0, 4)))
+    texts = []
+    for colours in ((1, 2), (3, 4)):
+        classes = {str(c): [] for c in colours}
+        for x, c in owner.items():
+            if str(c) in classes:
+                classes[str(c)] += [list(x), list(spec.neg(x))] if x != spec.neg(x) else [list(x)]
+        doc = {"group": text, "classes": classes}
+        if draw(st.booleans()):
+            doc["colour_count"] = draw(st.integers(1, 5))
+        texts.append(as_file_text(draw, corrupt(draw, doc, list(classes.values()))))
+    return texts
+
+
+def run_on_files(argv, texts):
+    """``main`` on files holding the given texts, with its exit code and output.
+
+    Files go to a temporary directory of their own, since pytest's per-test
+    fixtures are shared by every Hypothesis example."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(texts):
+            path = os.path.join(tmp, f"in{i}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            paths.append(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([a.format(*paths) for a in argv])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def parsed_or_none(text, parse):
+    """``parse`` applied to the JSON object in text, or None where either step fails."""
+    try:
+        data = json.loads(text)
+        return parse(data) if isinstance(data, dict) else None
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(graph_files())
+def test_verify_input_contract(text):
+    """Exit 2 exactly when the file is not a graph, else 0 or 1 by the verdict;
+    never an exception."""
+    rc, out, err = run_on_files(["verify", "--in", "{0}"], [text])
+    graph = parsed_or_none(text, EdgeColouredGraph.from_json_dict)
+    if graph is None:
+        assert rc == 2 and out == "" and err.startswith("error:"), (rc, err)
+    else:
+        assert rc == (0 if verify_flip(graph).passed else 1), (rc, err)
+        assert err == ""
+        assert json.loads(out)["verdict"] == ("pass" if rc == 0 else "fail")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(connecting_set_files())
+def test_pack_input_contract(texts):
+    """Exit 2 exactly when either file is not a connecting set or the two do
+    not pack, else 0 with the packed graph; never exit 1 or an exception."""
+    rc, out, err = run_on_files(["pack", "--first", "{0}", "--second", "{1}"], texts)
+    a, b = (parsed_or_none(t, ColouredConnectingSet.from_json_dict) for t in texts)
+    try:
+        packed = None if a is None or b is None else pack_cayley(a, b)
+    except ValueError:
+        packed = None
+    if packed is None:
+        assert rc == 2 and out == "" and err.startswith("error:"), (rc, err)
+    else:
+        assert rc == 0 and err == "", (rc, err)
+        assert EdgeColouredGraph.from_json(out) == packed

@@ -267,9 +267,17 @@ def strong_profile_prediction(gp, hp, colours):
     return deg, e_closed
 
 
+def assert_sample_matches_edge_scan(rng, graph, size=6):
+    """The product predictions read vertex_profile; check a seeded sample of
+    the product's vertices against the independent edge scan as well."""
+    for w in rng.sample(range(graph.vertex_count), min(size, graph.vertex_count)):
+        assert graph.vertex_profile(w) == graph.profile_by_edge_scan(w), w
+
+
 def test_strong_product_profile_arithmetic():
     """Degrees and closed counts of the strong product from factor data alone."""
     rng = random.Random(220)
+    sample_rng = random.Random(222)
     for _ in range(60):
         g = random_coloured_graph(rng)
         h = random_coloured_graph(rng)
@@ -282,11 +290,13 @@ def test_strong_product_profile_arithmetic():
                 got = prod.vertex_profile(product_vertex(h, u, v))
                 assert got.deg == want_deg, (u, v)
                 assert got.e_closed == want_e, (u, v)
+        assert_sample_matches_edge_scan(sample_rng, prod)
 
 
 def test_cartesian_product_profile_arithmetic():
     """Cartesian products add profiles componentwise."""
     rng = random.Random(221)
+    sample_rng = random.Random(223)
     for _ in range(60):
         g = random_coloured_graph(rng)
         h = random_coloured_graph(rng)
@@ -298,6 +308,7 @@ def test_cartesian_product_profile_arithmetic():
                 got = prod.vertex_profile(product_vertex(h, u, v))
                 assert got.deg == tuple(a + b for a, b in zip(gp.deg, hp.deg))
                 assert got.e_closed == tuple(a + b for a, b in zip(gp.e_closed, hp.e_closed))
+        assert_sample_matches_edge_scan(sample_rng, prod)
 
 
 # ----------------------------------------------------------------------- packing

@@ -6,11 +6,15 @@ the package, so they get a dual-implementation cross-check here.
 
 import json
 import random
+import struct
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flipforge import ecgraph
 from flipforge.analysis import verify_flip
 from flipforge.ecgraph import EdgeColouredGraph
 
@@ -42,6 +46,25 @@ def test_constructor_validation():
         EdgeColouredGraph(2, 1, [(0, 1, 2)])
     with pytest.raises(ValueError):
         EdgeColouredGraph(2, 2, [(0, 1, 1), (1, 0, 2)])  # one pair, two colours
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (3, 10**12, "colour count 1000000000000 exceeds enumeration limit 1000000"),
+    (2000, 2 * 10**6, "colour count 2000000 exceeds enumeration limit 1000000"),
+    (17, 10**6, "vertex count 17 times colour count 1000000 is 17000000, over the limit 16000000"),
+    (10**6, 17, "vertex count 1000000 times colour count 17 is 17000000, over the limit 16000000"),
+])
+def test_colour_count_limits(n, k, message):
+    """Profiles and the open-count pass hold k counters per vertex, so k and
+    n * k are bounded before anything is allocated."""
+    with pytest.raises(ValueError) as info:
+        EdgeColouredGraph(n, k, [(0, 1, 1)])
+    assert str(info.value) == message
+
+
+def test_colour_count_limits_are_inclusive():
+    g = EdgeColouredGraph(16, 10**6, [(0, 1, 10**6)])
+    assert g.colour_count * g.vertex_count == 16 * 10**6
 
 
 @pytest.mark.parametrize("edges, message", [
@@ -156,7 +179,11 @@ def test_profile_cross_check():
 
 @st.composite
 def graphs_with_query_order(draw):
-    """Random edges plus a coloured clique, padded with isolated vertices."""
+    """Random edges plus a coloured clique, padded with isolated vertices.
+
+    A clique of up to 40 vertices makes bitset rows wider than one 30-bit
+    digit; graphs with few edges spread over many vertices are sparse.
+    """
     n = draw(st.integers(0, 50))
     k = draw(st.integers(1, 6))
     edges = []
@@ -165,7 +192,8 @@ def graphs_with_query_order(draw):
         for u, v, c in draw(st.lists(st.tuples(vertex, vertex, st.integers(1, k)), max_size=400)):
             if u != v:
                 edges.append((u, v, c))
-        clique = draw(st.lists(vertex, unique=True, max_size=12))
+        size = min(n, draw(st.integers(0, 40)))
+        clique = draw(st.lists(vertex, unique=True, min_size=size, max_size=size))
         pairs = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
         colours = draw(st.lists(st.integers(1, k), min_size=len(pairs), max_size=len(pairs)))
         edges += [(u, v, c) for (u, v), c in zip(pairs, colours)]
@@ -183,6 +211,14 @@ def test_profile_matches_edge_scan_in_any_query_order(case):
     g, order = case
     for v in order:
         assert g.vertex_profile(v) == g.profile_by_edge_scan(v), f"vertex {v} of {g!r}"
+    # Both kernels, whichever one the size rule picks, under a drawn ranking:
+    # each triangle has one lowest and one middle corner in any vertex order.
+    expected = [list(g.profile_by_edge_scan(v).e_open) for v in range(g.vertex_count)]
+    rank = [0] * len(order)
+    for r, v in enumerate(order):
+        rank[v] = r
+    assert ecgraph._open_by_bitsets(g._adj, order, rank, g.colour_count) == expected
+    assert ecgraph._open_by_dicts(g._adj, rank, g.colour_count) == expected
 
 
 def count_passes(monkeypatch):
@@ -196,6 +232,63 @@ def count_passes(monkeypatch):
 
     monkeypatch.setattr(EdgeColouredGraph, "_count_open", counting)
     return passes
+
+
+def record_kernels(monkeypatch):
+    """Record which open-count kernel each pass runs."""
+    ran = []
+    for name in ("_open_by_bitsets", "_open_by_dicts"):
+        kernel = getattr(ecgraph, name)
+
+        def recording(*args, _name=name, _kernel=kernel):
+            ran.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(ecgraph, name, recording)
+    return ran
+
+
+# The pass builds bitset rows when n(n-1) * digit bytes <= 2 * digit bits *
+# dict entry bytes * m, that is n(n-1) <= BREAK_EVEN * m (360 on 64-bit CPython).
+BREAK_EVEN = 2 * sys.int_info.bits_per_digit * 3 * struct.calcsize("P") // sys.int_info.sizeof_digit
+
+
+@pytest.mark.parametrize("extra, kernel", [
+    ([(1, 2, 1)], "_open_by_bitsets"),
+    ([], "_open_by_dicts"),
+], ids=["just-inside", "just-outside"])
+def test_size_rule_picks_the_kernel(monkeypatch, extra, kernel):
+    """n = BREAK_EVEN + 1 vertices: n - 1 edges (a fan from vertex 0) is just
+    outside the bitset rule, and one more edge (closing a triangle) just inside."""
+    ran = record_kernels(monkeypatch)
+    n = BREAK_EVEN + 1
+    g = EdgeColouredGraph(n, 2, [(0, v, 1 + v % 2) for v in range(1, n)] + extra)
+    assert [g.vertex_profile(v) for v in range(n)] == [g.profile_by_edge_scan(v) for v in range(n)]
+    assert ran == [kernel]
+
+
+def test_sparse_graph_pass_memory(monkeypatch):
+    """On a sparse graph the pass keeps forward dicts, O(m) memory: about 20 MB
+    of peak allocation here, where bitset rows could take up to n(n-1)/15
+    bytes, about 167 MB."""
+    ran = record_kernels(monkeypatch)
+    rng = random.Random(50_000)
+    n, m = 50_000, 150_000
+    kept = {}
+    while len(kept) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            kept.setdefault((min(u, v), max(u, v)), rng.randint(1, 3))
+    g = EdgeColouredGraph(n, 3, [(u, v, c) for (u, v), c in kept.items()])
+    tracemalloc.start()
+    try:
+        counts = g._count_open()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ran == ["_open_by_dicts"]
+    assert peak < 40_000_000, peak
+    assert len(counts) == n
 
 
 def test_profile_pass_runs_once_per_graph(monkeypatch):
