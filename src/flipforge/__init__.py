@@ -59,6 +59,7 @@ from .setalg import (
     inverses,
     is_inverse_closed,
     is_sum_free,
+    json_value,
     sumset,
 )
 
@@ -97,6 +98,7 @@ __all__ = [
     "inverses",
     "is_inverse_closed",
     "is_sum_free",
+    "json_value",
     "merge_connecting_sets",
     "new_bound",
     "new_bound_cap",

@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .ecgraph import EdgeColouredGraph
-from .group import GroupSpec
-from .setalg import GroupSubset, is_sum_free
+from .group import ENUMERATION_LIMIT, GroupSpec
+from .setalg import GroupSubset, is_sum_free, json_value
 
 VIOLATION_JSON_CAP = 20
 
@@ -45,20 +45,8 @@ class FlipReport:
         return None
 
     def to_json_dict(self) -> dict:
-        chain: object
-        if self.e_chain is None:
-            chain = None
-        elif self.uniform_e_chain is not None:
-            chain = list(self.e_chain)
-        else:
-            chain = [list(row) for row in self.e_chain]
-        return {
-            "verdict": self.verdict,
-            "colour_degrees": None if self.colour_degrees is None else list(self.colour_degrees),
-            "e_chain": chain,
-            "violations": [[v, reason] for v, reason in self.violations[:VIOLATION_JSON_CAP]],
-            "violation_count": len(self.violations),
-        }
+        capped = replace(self, violations=self.violations[:VIOLATION_JSON_CAP])
+        return json_value(capped) | {"violation_count": len(self.violations)}
 
 
 def verify_flip(
@@ -180,12 +168,18 @@ def bounds_table(b_values: Sequence[int]) -> list[BoundRow]:
 
     For b >= 4 the rows cover b < r < b + 2*floor((b+2)/6)^2, where both
     bounds are defined.  b = 3 falls back to the classical range with the
-    new-bound cell left empty, since the construction needs b >= 4.
+    new-bound cell left empty, since the construction needs b >= 4. Tables
+    over 10^6 rows are refused before any row is built.
     """
-    rows = []
     for b in b_values:
         if b < 3:
             raise ValueError(f"b >= 3 required in bounds table, got b={b}")
+    row_count = sum(new_bound_cap(b) - b - 1 if b >= 4 else 2 for b in b_values)
+    if row_count > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"bounds table would have {row_count} rows, over the limit {ENUMERATION_LIMIT}")
+    rows = []
+    for b in b_values:
         old_hi = b * (b + 1) // 2 - 1
         r_hi = new_bound_cap(b) - 1 if b >= 4 else old_hi
         for r in range(b + 1, r_hi + 1):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .analysis import bounds_table, bounds_to_csv, search_sumfree_inverse_closed, verify_flip
 from .construct import ColouredConnectingSet, cartesian_product, cayley_build, pack_cayley, strong_product
 from .ecgraph import EdgeColouredGraph
-from .group import format_elements, parse_group_text
+from .group import parse_group_text
 from .pipelines import (
     DEFAULT_MATERIALIZE_LIMIT,
     VerificationError,
@@ -25,7 +25,7 @@ from .pipelines import (
     colour_merge,
     plan_br,
 )
-from .setalg import GroupSubset
+from .setalg import GroupSubset, json_value
 
 
 def _dump_json(data: dict) -> str:
@@ -48,6 +48,8 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"JSON in {path} is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object in {path}")
     return data
@@ -211,15 +213,7 @@ def _cmd_gaps_plan(args: argparse.Namespace) -> int:
 def _cmd_search_sumfree(args: argparse.Namespace) -> int:
     spec = parse_group_text(args.group)
     result = search_sumfree_inverse_closed(spec, mode=args.mode, budget=args.budget)
-    sys.stdout.write(_dump_json({
-        "group": spec.to_text(),
-        "subset": format_elements(result.subset.elements),
-        "size": result.size,
-        "mode": result.mode,
-        "optimal": result.optimal,
-        "budget_exhausted": result.budget_exhausted,
-        "examined": result.examined,
-    }))
+    sys.stdout.write(_dump_json(json_value(result) | {"group": spec.to_text()}))
     return 0
 
 

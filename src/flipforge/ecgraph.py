@@ -116,11 +116,6 @@ class EdgeColouredGraph:
         return (f"EdgeColouredGraph(vertices={self.vertex_count}, "
                 f"colours={self.colour_count}, edges={len(self.edges)})")
 
-    def neighbours(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Sorted (neighbour, colour) pairs of v."""
-        self._check_vertex(v)
-        return tuple(sorted(self._adj[v].items()))
-
     def closed_neighbourhood(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
         return frozenset([v, *self._adj[v]])
@@ -261,6 +256,8 @@ class EdgeColouredGraph:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed graph JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError("malformed graph JSON: nested too deeply") from None
         return EdgeColouredGraph.from_json_dict(data)
 
     def to_dot(self) -> str:

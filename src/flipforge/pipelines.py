@@ -25,7 +25,7 @@ from .construct import (
     strong_product,
 )
 from .ecgraph import EdgeColouredGraph
-from .group import ENUMERATION_LIMIT, GroupSpec, cyclic, format_elements
+from .group import ENUMERATION_LIMIT, GroupSpec, cyclic
 from .setalg import (
     GroupSubset,
     ResidueInterval,
@@ -34,6 +34,7 @@ from .setalg import (
     inverses,
     is_inverse_closed,
     is_sum_free,
+    json_value,
     sumset,
 )
 
@@ -69,22 +70,7 @@ class BrPlan:
     red_set: GroupSubset
 
     def to_json_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "r": self.r,
-            "n": self.n,
-            "parity_factor": self.parity_factor,
-            "parity_case": self.parity_case,
-            "red_base": self.red_base.to_json_dict(),
-            "blue_base": self.blue_base.to_json_dict(),
-            "blue_double": self.blue_double.to_json_dict(),
-            "red_symmetric": format_elements(self.red_symmetric.elements),
-            "blue_symmetric": format_elements(self.blue_symmetric.elements),
-            "blue_core": format_elements(self.blue_core.elements),
-            "group": self.group.to_text(),
-            "blue_set": format_elements(self.blue_set.elements),
-            "red_set": format_elements(self.red_set.elements),
-        }
+        return json_value(self)
 
 
 def _embed_into_double(subset: GroupSubset, double: GroupSpec) -> GroupSubset:
@@ -116,7 +102,7 @@ def plan_br(b: int, r: int) -> BrPlan:
     report = interval_sumset_check(n, red_base, blue_base, blue_double)
     if not (report.b1_hypothesis_met and report.all_asserted_hold):
         raise VerificationError(
-            f"interval disjointness audit failed for b={b} r={r}: {report.to_json_dict()}")
+            f"interval disjointness audit failed for b={b} r={r}: {json_value(report)}")
 
     base_spec = cyclic(n)
     red_sym = report.a_set
@@ -393,32 +379,8 @@ class GapsPlan:
         return tuple(out)
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "prefix_e": list(self.prefix_e),
-            "prefix_deg": list(self.prefix_deg),
-            "prefix_gap": self.prefix_gap,
-            "core_degree": self.core_degree,
-            "gap_slack": self.gap_slack,
-            "t": self.t,
-            "t_min": self.t_min,
-            "part_size": self.part_size,
-            "part_ratio": [self.part_ratio.numerator, self.part_ratio.denominator],
-            "layer_sizes": list(self.layer_sizes),
-            "layer_group": self.layer_group.to_text(),
-            "deg_affine": [list(p) for p in self.deg_affine],
-            "e_affine": [list(p) for p in self.e_affine],
-            "deg_at_t": list(self.deg_at_t),
-            "e_at_t": list(self.e_at_t),
-            "deg_chain_ok": self.deg_chain_ok,
-            "e_chain_ok": self.e_chain_ok,
-            "first_chain_violation": (
-                None if self.first_chain_violation is None
-                else list(self.first_chain_violation)),
-            "prefix_order": self.prefix_order,
-            "order_estimate": self.order_estimate,
-        }
+        ratio = self.part_ratio
+        return json_value(self) | {"part_ratio": [ratio.numerator, ratio.denominator]}
 
 
 def _make_gaps_plan(

@@ -8,10 +8,10 @@ disjointness facts involving the involution n/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterable, Optional
 
-from .group import ElementLike, GroupElement, GroupSpec, cyclic
+from .group import ElementLike, GroupElement, GroupSpec, cyclic, format_elements
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,6 @@ class GroupSubset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, item: ElementLike) -> bool:
-        return self.spec.element(item) in self.elements
-
     def union(self, other: "GroupSubset") -> "GroupSubset":
         _check_same_spec(self, other)
         return GroupSubset(self.spec, self.elements | other.elements)
@@ -45,6 +42,27 @@ class GroupSubset:
 
     def contains_identity(self) -> bool:
         return self.spec.identity in self.elements
+
+
+def json_value(obj: object) -> object:
+    """The JSON form of a plan, report or value: a dataclass as {field name: value},
+    tuples and lists as lists, a GroupSpec as its text, a GroupSubset as its
+    sorted residue arrays. Anything else is returned as it is."""
+    return _json_value(obj)
+
+
+def _json_value(obj: object) -> object:
+    # The recursion lives here, so that the public name never calls itself.
+    if isinstance(obj, (tuple, list)):
+        # Ints, nearly every item of a plan's per-colour vectors, skip the call.
+        return [x if type(x) is int else _json_value(x) for x in obj]
+    if isinstance(obj, GroupSubset):
+        return format_elements(obj.elements)
+    if isinstance(obj, GroupSpec):
+        return obj.to_text()
+    if is_dataclass(obj):
+        return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
 
 
 def _check_same_spec(a: GroupSubset, b: GroupSubset) -> None:
@@ -98,9 +116,6 @@ class ResidueInterval:
     def size(self) -> int:
         return self.hi - self.lo + 1
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "lo": self.lo, "hi": self.hi}
-
 
 def interval_elements(interval: ResidueInterval) -> GroupSubset:
     spec = cyclic(interval.n)
@@ -130,18 +145,6 @@ class IntervalSumsetReport:
         if self.b1_hypothesis_met:
             return bool(self.half_plus_b_avoids_a)
         return True
-
-    def to_json_dict(self) -> dict:
-        from .group import format_elements
-        return {
-            "n": self.n,
-            "a_set": format_elements(self.a_set.elements),
-            "b_set": format_elements(self.b_set.elements),
-            "ab_avoids_a": self.ab_avoids_a,
-            "half_shift_avoids_a": self.half_shift_avoids_a,
-            "b1_hypothesis_met": self.b1_hypothesis_met,
-            "half_plus_b_avoids_a": self.half_plus_b_avoids_a,
-        }
 
 
 def interval_sumset_check(

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from flipforge import analysis
 from flipforge.analysis import (
     EXHAUSTIVE_ORDER_CAP,
     VIOLATION_JSON_CAP,
@@ -183,6 +184,18 @@ def test_bounds_table_b3_fallback():
     assert rows[0].old == 32
     with pytest.raises(ValueError):
         bounds_table([2])
+
+
+def test_bounds_table_row_limit(monkeypatch):
+    """Rows are counted in closed form before any is built: 7 for b = 11, 31
+    for b = 25, 2 for b = 3. The limit is inclusive."""
+    assert len(bounds_table(range(3, 61))) == 3965
+    with pytest.raises(ValueError, match="^bounds table would have 22217777 rows, over the limit 1000000$"):
+        bounds_table([20000])
+    monkeypatch.setattr(analysis, "ENUMERATION_LIMIT", 40)
+    assert len(bounds_table([11, 25, 3])) == 40
+    with pytest.raises(ValueError, match="^bounds table would have 41 rows, over the limit 40$"):
+        bounds_table([11, 25, 3, 4])
 
 
 def test_bounds_csv():

@@ -107,6 +107,25 @@ def test_verify_malformed_input(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in", "{deep}"],
+    ["pack", "--first", "{deep}", "--second", "{deep}"],
+], ids=["verify", "pack"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    """A document nested past the parser's recursion limit is malformed input."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    rc, out, err = run(capsys, *(a.format(deep=deep) for a in argv))
+    assert (rc, out) == (2, "")
+    assert err == f"error: JSON in {deep} is nested too deeply\n"
+
+
+def test_bounds_over_row_limit_exits_2(capsys):
+    rc, out, err = run(capsys, "bounds", "--b", "20000")
+    assert (rc, out) == (2, "")
+    assert err == "error: bounds table would have 22217777 rows, over the limit 1000000\n"
+
+
 VERIFY_G = ["verify", "--in", "{tmp}/g.json"]
 
 

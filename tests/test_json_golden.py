@@ -1,0 +1,87 @@
+"""Byte-exact pins of the plan, report and search JSON that the CLI writes.
+
+Each case runs one command in-process and compares the sha256 digest of the
+JSON it writes (a file, or stdout) and its exit code with recorded values.
+The digests were recorded from the key-by-key serialisers that
+``setalg.json_value`` replaced, so any byte the encoder moves fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from flipforge.cli import main
+
+# Exit code and sha256 of the JSON bytes, per case.
+GOLDEN = {
+    "plan-br-4-5": (0, "c4e68f0a21467e64a480603822cd2c83da2020479426a9485f8c3274de8c62b1"),
+    "plan-br-10-12": (0, "284be9e6d0678bc41f191131cd0cbf0138cfdf302d3c20468b098c6da604e16b"),
+    "plan-br-11-13": (0, "028193d2fb02aae83452bf5b57fd1049d7500927128e02e07bcbe2fb264eb095"),
+    "gaps-plan-valid": (0, "51000a7d9093aef4a49e7f75ea5228e079b2b4ad7898701dfcfa4f2440dc258e"),
+    "gaps-plan-invalid": (1, "fa536bbc754755ae955418ea1d661f4958ab657abf2b78a1a226f47e51e02def"),
+    "verify-pass": (0, "4ed9ccc1b010a70380d1be6f8461d29a76d2eba0763cdb6be3f5f6513cab2610"),
+    "verify-path-30": (1, "aa784705febb90b63607507b428661566270255dd7bd547f7fc7b8c48200eef6"),
+    "search-z8": (0, "7b06fff6a4ca0ac89198ad08bcf57c34b29042479567c0cd6fa651bcf37adaff"),
+    "search-z100-greedy": (0, "617fb7e6a66ec7c2275037bf16eb8c758b20bb3842685f64b77467d402a41ec6"),
+}
+
+GAPS_VALID = ["--q", "2", "--k", "9", "--prefix-e", "140,135", "--prefix-deg", "42,135"]
+GAPS_INVALID = ["--q", "2", "--k", "5", "--prefix-e", "11,10", "--prefix-deg", "1,3", "--t", "1"]
+
+
+def _path_graph_json() -> str:
+    """30 vertices on a path whose edge colours alternate 1, 2, 1, ...: the ends
+    differ in degree from the middle, which gives 28 not-regular and 28
+    chain-not-strict violations and a non-uniform chain."""
+    edges = [[i, i + 1, 1 + i % 2] for i in range(29)]
+    return json.dumps({"vertices": 30, "colours": 2, "edges": edges})
+
+
+def _output(case, tmp_path, capsys) -> tuple[int, bytes]:
+    out = tmp_path / "out.json"
+    if case.startswith("plan-br-"):
+        b, r = case.split("-")[2:]
+        rc = main(["construct-br", "--b", b, "--r", r, "--plan-out", str(out)])
+    elif case.startswith("gaps-plan-"):
+        flags = GAPS_VALID if case == "gaps-plan-valid" else GAPS_INVALID
+        rc = main(["gaps-plan", *flags, "--out", str(out)])
+    elif case.startswith("verify-"):
+        graph = tmp_path / "g.json"
+        if case == "verify-pass":
+            assert main(["construct-br", "--b", "4", "--r", "5", "--out", str(graph)]) == 0
+        else:
+            graph.write_text(_path_graph_json(), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["verify", "--in", str(graph)])
+        out.write_text(capsys.readouterr().out, encoding="utf-8")
+    else:
+        group = "z:8" if case == "search-z8" else "z:100"
+        extra = [] if case == "search-z8" else ["--mode", "greedy", "--budget", "500"]
+        rc = main(["search-sumfree", "--group", group, *extra])
+        out.write_text(capsys.readouterr().out, encoding="utf-8")
+    capsys.readouterr()
+    return rc, out.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_json_bytes_match_golden_digest(case, tmp_path, capsys):
+    rc, data = _output(case, tmp_path, capsys)
+    assert (rc, hashlib.sha256(data).hexdigest()) == GOLDEN[case]
+
+
+def test_golden_cases_cover_what_they_name(tmp_path, capsys):
+    """The digests are opaque, so check that each case reaches the state it names."""
+    cases = {case: json.loads(_output(case, tmp_path, capsys)[1]) for case in GOLDEN}
+    assert [cases[f"plan-br-{br}"]["parity_case"] for br in ("4-5", "10-12", "11-13")] == [
+        "one-odd", "both-even", "both-odd"]
+    invalid = cases["gaps-plan-invalid"]
+    assert invalid["first_chain_violation"] == ["e", 2]
+    assert invalid["part_ratio"] == [7, 3]
+    assert cases["gaps-plan-valid"]["first_chain_violation"] is None
+    assert cases["verify-pass"]["verdict"] == "pass"
+    path = cases["verify-path-30"]
+    assert path["violation_count"] > 20 and len(path["violations"]) == 20
+    assert isinstance(path["e_chain"][0], list)
+    assert cases["search-z8"]["mode"] == "exhaustive"
+    assert cases["search-z100-greedy"]["mode"] == "greedy"

@@ -64,8 +64,8 @@ def test_plan_br_parity_cases():
     assert both.group == GroupSpec((2, 80))
     assert both.parity_factor == 2
     # the doubling adds the involution (0, n/2) to blue and (1, 0) to red
-    assert (0, 40) in both.blue_set
-    assert (1, 0) in both.red_set
+    assert (0, 40) in both.blue_set.elements
+    assert (1, 0) in both.red_set.elements
 
 
 def test_plan_br_set_invariants():

@@ -14,6 +14,7 @@ from flipforge.setalg import (
     inverses,
     is_inverse_closed,
     is_sum_free,
+    json_value,
     sumset,
 )
 
@@ -27,7 +28,6 @@ def random_subset(rng, spec, max_size=8):
 def test_subset_of_reduces_and_dedups():
     s = GroupSubset.of(cyclic(10), [3, 13, -7])
     assert len(s) == 1
-    assert 3 in s
     assert sorted(s.elements) == [(3,)]
 
 
@@ -218,8 +218,22 @@ def test_interval_report_json():
         ResidueInterval(40, 9, 9),
         ResidueInterval(40, 9, 9),
     )
-    data = report.to_json_dict()
-    assert data["n"] == 40
-    assert data["ab_avoids_a"] is True
-    assert data["a_set"] == [[6], [7], [33], [34]]
+    data = json_value(report)
+    assert data == {
+        "n": 40,
+        "a_set": [[6], [7], [33], [34]],
+        "b_set": [[9], [18], [22], [31]],
+        "ab_avoids_a": True,
+        "half_shift_avoids_a": True,
+        "b1_hypothesis_met": True,
+        "half_plus_b_avoids_a": True,
+    }
     assert isinstance(report, IntervalSumsetReport)
+
+
+def test_json_value_encodes_nested_values():
+    z = GroupSpec((2, 4))
+    assert json_value(GroupSubset.of(z, [(1, 3), (0, 2)])) == [[0, 2], [1, 3]]
+    assert json_value(z) == "z:2,4"
+    assert json_value(ResidueInterval(8, 2, 3)) == {"n": 8, "lo": 2, "hi": 3}
+    assert json_value(((1, (2, 3)), [None, "x", True])) == [[1, [2, 3]], [None, "x", True]]
