@@ -7,8 +7,6 @@ e_1[v] > e_2[v] > ... > e_k[v] decrease strictly at every vertex.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -67,8 +65,7 @@ def verify_flip(
 
     degrees = []
     chains = []
-    for v in range(g.vertex_count):
-        profile = g.vertex_profile(v)
+    for profile in g.profiles():
         degrees.append(profile.deg)
         chains.append(profile.e_closed)
     base = degrees[0] if degrees else tuple([0] * g.colour_count)
@@ -190,18 +187,14 @@ def bounds_table(b_values: Sequence[int]) -> list[BoundRow]:
 
 
 def bounds_to_csv(rows: Sequence[BoundRow]) -> str:
-    """CSV with header b,r,old_bound,new_bound; absent values are empty cells."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["b", "r", "old_bound", "new_bound"])
+    """CSV with header b,r,old_bound,new_bound; absent values are empty cells.
+    Every cell is an integer or empty, so none needs quoting."""
+    lines = ["b,r,old_bound,new_bound\n"]
     for row in rows:
-        writer.writerow([
-            row.b,
-            row.r,
-            "" if row.old is None else row.old,
-            "" if row.new is None else row.new,
-        ])
-    return buf.getvalue()
+        old = "" if row.old is None else row.old
+        new = "" if row.new is None else row.new
+        lines.append(f"{row.b},{row.r},{old},{new}\n")
+    return "".join(lines)
 
 
 EXHAUSTIVE_ORDER_CAP = 24

@@ -165,10 +165,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    rows = bounds_table(_int_list(args.b, "--b"))
     if args.format != "csv":
         raise ValueError(f"unsupported format {args.format!r}")
-    _write_text(args.out, bounds_to_csv(rows))
+    _write_text(args.out, bounds_to_csv(bounds_table(_int_list(args.b, "--b"))))
     return 0
 
 

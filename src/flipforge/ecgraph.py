@@ -26,7 +26,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .group import ENUMERATION_LIMIT
 
@@ -109,9 +109,6 @@ class EdgeColouredGraph:
         return (self.vertex_count, self.colour_count, self.edges) == (
             other.vertex_count, other.colour_count, other.edges)
 
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.colour_count, self.edges))
-
     def __repr__(self) -> str:
         return (f"EdgeColouredGraph(vertices={self.vertex_count}, "
                 f"colours={self.colour_count}, edges={len(self.edges)})")
@@ -143,6 +140,11 @@ class EdgeColouredGraph:
             open_counts = self._open[v]
         closed = [o + d for o, d in zip(open_counts, deg)]
         return VertexColourProfile(v, tuple(deg), tuple(closed), open_counts)
+
+    def profiles(self) -> Iterator[VertexColourProfile]:
+        """Every vertex's profile in vertex order, each made as it is read:
+        the one loop over all vertices that audits and verification share."""
+        return map(self.vertex_profile, range(self.vertex_count))
 
     def _count_open(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex open counts, listing each triangle once (forward algorithm).

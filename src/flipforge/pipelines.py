@@ -12,8 +12,8 @@ exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .analysis import FlipReport, check_br_range, new_bound, parity_factor, verify_flip
 from .construct import (
@@ -37,6 +37,9 @@ from .setalg import (
     json_value,
     sumset,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_MATERIALIZE_LIMIT = 200_000
 
@@ -95,9 +98,6 @@ def plan_br(b: int, r: int) -> BrPlan:
     red_base = ResidueInterval(n, eighth + 1, eighth + red_base_size)
     blue_base = ResidueInterval(n, quarter - blue_base_size, quarter - 1)
     blue_double = ResidueInterval(n, quarter - blue_double_size, quarter - 1)
-    if red_base.hi >= blue_base.lo:
-        raise VerificationError(
-            f"interval placement collided for b={b} r={r}: red ends {red_base.hi}, blue starts {blue_base.lo}")
 
     report = interval_sumset_check(n, red_base, blue_base, blue_double)
     if not (report.b1_hypothesis_met and report.all_asserted_hold):
@@ -280,18 +280,16 @@ def _layer_classes(k: int, q: int) -> ColouredConnectingSet:
 
 def _expect_profile(
     g: EdgeColouredGraph,
-    deg: Sequence[int],
-    e: Sequence[int],
+    expected: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
     label: str,
     error: type[Exception] = VerificationError,
 ) -> None:
-    """Raise unless every vertex of g has degree vector deg and closed counts e."""
-    deg, e = tuple(deg), tuple(e)
-    for v in range(g.vertex_count):
-        profile = g.vertex_profile(v)
+    """Raise unless each vertex of g, in vertex order, has the degree vector
+    and closed counts of its (deg, e) pair in expected."""
+    for profile, (deg, e) in zip(g.profiles(), expected):
         if profile.deg != deg or profile.e_closed != e:
             raise error(
-                f"{label} profile mismatch at vertex {v}: "
+                f"{label} profile mismatch at vertex {profile.vertex}: "
                 f"deg={profile.deg} e={profile.e_closed}, expected deg={deg} e={e}")
 
 
@@ -302,7 +300,7 @@ def _build_layer(k: int, q: int) -> EdgeColouredGraph:
         raise VerificationError(f"layer connecting set for k={k} q={q} is not sum-free")
     graph = cayley_build(ccs)
     expected = (0,) * q + tuple(_layer_sizes(k, q))
-    _expect_profile(graph, expected, expected, "layer")
+    _expect_profile(graph, repeat((expected, expected)), "layer")
     return graph
 
 
@@ -343,7 +341,6 @@ class GapsPlan:
     t: int
     t_min: int
     part_size: int
-    part_ratio: Fraction
     layer_sizes: tuple[int, ...]
     layer_group: GroupSpec
     deg_affine: tuple[tuple[int, int], ...]
@@ -362,6 +359,12 @@ class GapsPlan:
         for j in range(1, self.k - self.q + 1):
             out.extend([self.q + j] * (self.t + j - 1))
         return tuple(out)
+
+    @property
+    def part_ratio(self) -> Fraction:
+        """(part_size + 1) / ((k - q) t) in lowest terms."""
+        from fractions import Fraction
+        return Fraction(self.part_size + 1, (self.k - self.q) * self.t)
 
     @property
     def problems(self) -> tuple[str, ...]:
@@ -429,7 +432,6 @@ def _make_gaps_plan(
         raise ValueError(f"t must be >= 1, got {t}")
 
     part_size = spread * t + layer_pairs
-    part_ratio = Fraction(part_size + 1, spread * t)
 
     deg_affine = []
     e_affine = []
@@ -467,7 +469,6 @@ def _make_gaps_plan(
         t=t,
         t_min=t_min,
         part_size=part_size,
-        part_ratio=part_ratio,
         layer_sizes=tuple(_layer_sizes(k, q)),
         layer_group=layer_group,
         deg_affine=tuple(deg_affine),
@@ -527,9 +528,8 @@ def _verify_prefix_graph(prefix: EdgeColouredGraph, plan: GapsPlan) -> None:
         raise ValueError(
             f"prefix graph has {prefix.vertex_count} vertices, plan recorded {plan.prefix_order}")
     padding = (0,) * (prefix.colour_count - plan.q)
-    _expect_profile(
-        prefix, tuple(plan.prefix_deg) + padding, tuple(plan.prefix_e) + padding,
-        "prefix graph", ValueError)
+    expected = (plan.prefix_deg + padding, plan.prefix_e + padding)
+    _expect_profile(prefix, repeat(expected), "prefix graph", ValueError)
 
 
 def build_gaps(
@@ -552,8 +552,8 @@ def build_gaps(
     layer = _build_layer(k, q)
 
     core = cartesian_product(prefix.with_colour_count(k), layer.with_colour_count(k))
-    _expect_profile(
-        core, _core_vector(k, q, plan.prefix_deg), _core_vector(k, q, plan.prefix_e), "core")
+    expected = (_core_vector(k, q, plan.prefix_deg), _core_vector(k, q, plan.prefix_e))
+    _expect_profile(core, repeat(expected), "core")
 
     g_order = 2 * plan.part_size * core.vertex_count
     if g_order > materialize_limit:
@@ -575,7 +575,7 @@ def build_gaps(
     report = verify_flip(graph)
     if report.colour_degrees != plan.deg_at_t or report.uniform_e_chain != plan.e_at_t:
         # Profile again only to name the first vertex that breaks the prediction.
-        _expect_profile(graph, plan.deg_at_t, plan.e_at_t, "amplified")
+        _expect_profile(graph, repeat((plan.deg_at_t, plan.e_at_t)), "amplified")
     return GapsResult(
         plan=plan,
         materialized=True,
@@ -610,15 +610,10 @@ def colour_merge(g: EdgeColouredGraph, partition: Sequence[Sequence[int]]) -> Ed
     merged = EdgeColouredGraph(
         g.vertex_count, len(parts),
         [(u, v, colour_map[c]) for u, v, c in g.edges])
-
-    for v in range(g.vertex_count):
-        old = g.vertex_profile(v)
-        new = merged.vertex_profile(v)
-        for i, p in enumerate(parts):
-            if new.deg[i] != sum(old.deg[c - 1] for c in p):
-                raise VerificationError(f"degree additivity failed at vertex {v}, part {i + 1}")
-            if new.e_closed[i] != sum(old.e_closed[c - 1] for c in p):
-                raise VerificationError(f"closed-count additivity failed at vertex {v}, part {i + 1}")
+    sums = ((tuple(sum(old.deg[c - 1] for c in p) for p in parts),
+             tuple(sum(old.e_closed[c - 1] for c in p) for p in parts))
+            for old in g.profiles())
+    _expect_profile(merged, sums, "merged")
     return merged
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flipforge
+from flipforge import cli
 from flipforge.analysis import verify_flip
 from flipforge.cli import main
 from flipforge.construct import ColouredConnectingSet, pack_cayley
@@ -330,6 +331,27 @@ def test_bounds_command(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "bounds", "--b", "x")
     assert rc == 2
+
+
+def test_bounds_unsupported_format_builds_no_table(capsys, monkeypatch):
+    def refuse(b_values):
+        raise AssertionError("bounds table built for an unsupported format")
+
+    monkeypatch.setattr(cli, "bounds_table", refuse)
+    rc, out, err = run(capsys, "bounds", "--b", "11", "--format", "yaml")
+    assert (rc, out, err) == (2, "", "error: unsupported format 'yaml'\n")
+
+
+def test_cli_import_leaves_fractions_and_csv_unloaded():
+    """Starting the CLI imports neither module: bounds CSV is written directly,
+    and a gaps plan imports Fraction only when its part_ratio is read."""
+    child = "import sys, flipforge.cli; print(sorted({'csv', 'fractions'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(flipforge.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_gaps_plan_valid(tmp_path, capsys):

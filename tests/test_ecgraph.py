@@ -140,11 +140,10 @@ def test_duplicate_edges_collapse():
     assert g.edges == ((0, 1, 1),)
 
 
-def test_edges_canonical_and_hashable():
+def test_edges_canonical_and_equal():
     g1 = EdgeColouredGraph(3, 2, [(2, 1, 2), (1, 0, 1)])
     g2 = EdgeColouredGraph(3, 2, [(0, 1, 1), (1, 2, 2)])
     assert g1 == g2
-    assert hash(g1) == hash(g2)
     assert g1.edges == ((0, 1, 1), (1, 2, 2))
 
 
@@ -174,6 +173,16 @@ def test_profile_cross_check():
             fast = g.vertex_profile(v)
             slow = g.profile_by_edge_scan(v)
             assert fast == slow, f"profile mismatch at {v} of {g!r}"
+
+
+def test_profiles_yield_vertex_profiles_in_order():
+    rng = random.Random(7)
+    for _ in range(20):
+        g = random_graph(rng)
+        profiles = g.profiles()
+        assert iter(profiles) is profiles  # made as they are read, not held in a list
+        assert list(profiles) == [g.vertex_profile(v) for v in range(g.vertex_count)]
+    assert list(EdgeColouredGraph(0, 1, []).profiles()) == []
 
 
 @st.composite

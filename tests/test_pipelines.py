@@ -557,6 +557,19 @@ def test_colour_merge_additivity_random():
                 assert new.e_closed[i] == sum(old.e_closed[c - 1] for c in part)
 
 
+def test_colour_merge_audit_names_vertex(monkeypatch):
+    graph, _ = build_br(plan_br(4, 5))
+
+    def lossy_graph(vertex_count, colour_count, edges):
+        return EdgeColouredGraph(vertex_count, colour_count, list(edges)[1:])
+
+    monkeypatch.setattr(pipelines, "EdgeColouredGraph", lossy_graph)
+    with pytest.raises(VerificationError, match=(
+            r"^merged profile mismatch at vertex 0: deg=\(8,\) e=\(\d+,\), "
+            r"expected deg=\(9,\) e=\(12,\)$")):
+        colour_merge(graph, [(1, 2)])
+
+
 def test_colour_merge_partition_validation():
     g = EdgeColouredGraph(2, 2, [(0, 1, 1)])
     with pytest.raises(ValueError, match="non-empty"):
