@@ -24,13 +24,11 @@ from .analysis import (
 )
 from .construct import (
     ColouredConnectingSet,
-    MatchingColourPlan,
     PackingDeltaReport,
     bipartite_matching_graph,
     cartesian_product,
     cayley_build,
     merge_connecting_sets,
-    pack_cayley,
     packing_delta,
     product_vertex,
     strong_product,
@@ -49,7 +47,6 @@ from .pipelines import (
     colour_merge,
     plan_br,
     plan_gaps,
-    unit_gap_source_feasible,
 )
 from .setalg import (
     GroupSubset,
@@ -77,7 +74,6 @@ __all__ = [
     "GroupSpec",
     "GroupSubset",
     "IntervalSumsetReport",
-    "MatchingColourPlan",
     "PackingDeltaReport",
     "ResidueInterval",
     "SearchResult",
@@ -103,7 +99,6 @@ __all__ = [
     "new_bound",
     "new_bound_cap",
     "old_bound",
-    "pack_cayley",
     "packing_delta",
     "parity_factor",
     "parse_group_text",
@@ -114,6 +109,5 @@ __all__ = [
     "search_sumfree_inverse_closed",
     "strong_product",
     "sumset",
-    "unit_gap_source_feasible",
     "verify_flip",
 ]

@@ -239,11 +239,11 @@ def search_sumfree_inverse_closed(
     """
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"mode must be 'exhaustive' or 'greedy', got {mode!r}")
+    if mode == "exhaustive" and spec.order > EXHAUSTIVE_ORDER_CAP:
+        raise ValueError(
+            f"exhaustive mode needs group order <= {EXHAUSTIVE_ORDER_CAP}, got {spec.order}")
     atoms = _atoms(spec)
     if mode == "exhaustive":
-        if spec.order > EXHAUSTIVE_ORDER_CAP:
-            raise ValueError(
-                f"exhaustive mode needs group order <= {EXHAUSTIVE_ORDER_CAP}, got {spec.order}")
         # A candidate's size is its atom count plus its two-element atom count,
         # so masks no larger than the best so far are skipped before any set is built.
         pair_atoms = sum(1 << i for i, atom in enumerate(atoms) if len(atom) == 2)

@@ -95,7 +95,10 @@ class ColouredConnectingSet:
             for e in elems:
                 if type(e) is not list or any(type(x) is not int for x in e):
                     raise ValueError(f"malformed element {e!r} in class {colour}")
-            classes[int(colour)] = GroupSubset.of(spec, [tuple(e) for e in elems])
+            c = int(colour)
+            if c in classes:
+                raise ValueError(f"class key {colour!r} repeats colour {c}")
+            classes[c] = GroupSubset.of(spec, [tuple(e) for e in elems])
         return ColouredConnectingSet.of(spec, classes, colour_count)
 
 
@@ -140,7 +143,7 @@ def merge_connecting_sets(
     a = first.union_elements()
     b = second.union_elements()
     if not a.is_disjoint(b):
-        overlap = sorted(a.intersection(b).elements)[:4]
+        overlap = sorted(a.elements & b.elements)[:4]
         raise ValueError(f"packing undefined, classes overlap at {overlap}")
     merged: dict[int, GroupSubset] = dict(first.classes)
     for colour, subset in second.classes:
@@ -150,11 +153,6 @@ def merge_connecting_sets(
             merged[colour] = subset
     return ColouredConnectingSet.of(
         first.spec, merged, max(first.colour_count, second.colour_count))
-
-
-def pack_cayley(first: ColouredConnectingSet, second: ColouredConnectingSet) -> EdgeColouredGraph:
-    """Cayley graph of the merged connecting sets."""
-    return cayley_build(merge_connecting_sets(first, second))
 
 
 def product_vertex(h: EdgeColouredGraph, u: int, v: int) -> int:
@@ -233,7 +231,7 @@ def packing_delta(spec: GroupSpec, blue: GroupSubset, red: GroupSubset) -> Packi
     red_only = ColouredConnectingSet.of(spec, {2: red}, colour_count=2)
     g_blue = cayley_build(blue_only)
     h_red = cayley_build(red_only)
-    packed = pack_cayley(blue_only, red_only)
+    packed = cayley_build(merge_connecting_sets(blue_only, red_only))
 
     # identity element is vertex 0 in enumeration order
     packed_profile = packed.vertex_profile(0)
@@ -263,35 +261,18 @@ def packing_delta(spec: GroupSpec, blue: GroupSubset, red: GroupSubset) -> Packi
     )
 
 
-@dataclass(frozen=True)
-class MatchingColourPlan:
-    """Colour assignment for the perfect matchings of a balanced complete bipartite graph."""
+def bipartite_matching_graph(colour_count: int, assignments: Sequence[int]) -> EdgeColouredGraph:
+    """K_{p,p} decomposed into cyclic-shift matchings, matching d coloured assignments[d].
 
-    part_size: int
-    colour_count: int
-    assignments: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.part_size < 1:
-            raise ValueError(f"part size must be >= 1, got {self.part_size}")
-        if len(self.assignments) != self.part_size:
-            raise ValueError(
-                f"need exactly {self.part_size} matching assignments, got {len(self.assignments)}")
-        for c in self.assignments:
-            if not (1 <= c <= self.colour_count):
-                raise ValueError(f"matching colour {c} outside 1..{self.colour_count}")
-
-
-def bipartite_matching_graph(plan: MatchingColourPlan) -> EdgeColouredGraph:
-    """K_{p,p} decomposed into cyclic-shift matchings, matching d coloured plan.assignments[d].
-
-    Parts are {0..p-1} and {p..2p-1}; matching d joins i to p + ((i + d) mod p).
-    The graph is bipartite, hence triangle-free, so every closed count equals
-    the matching count of its colour.
+    p = len(assignments). Parts are {0..p-1} and {p..2p-1}; matching d joins
+    i to p + ((i + d) mod p). The graph is bipartite, hence triangle-free, so
+    every closed count equals the matching count of its colour.
     """
-    p = plan.part_size
+    p = len(assignments)
+    if p < 1:
+        raise ValueError("need at least one matching assignment")
     edges = []
-    for d, colour in enumerate(plan.assignments):
+    for d, colour in enumerate(assignments):
         for i in range(p):
             edges.append((i, p + (i + d) % p, colour))
-    return EdgeColouredGraph(2 * p, plan.colour_count, edges)
+    return EdgeColouredGraph(2 * p, colour_count, edges)

@@ -11,14 +11,14 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .analysis import FlipReport, check_br_range, new_bound, parity_factor, verify_flip
 from .construct import (
     ColouredConnectingSet,
-    MatchingColourPlan,
     bipartite_matching_graph,
     cartesian_product,
     cayley_build,
@@ -37,9 +37,6 @@ from .setalg import (
     json_value,
     sumset,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 DEFAULT_MATERIALIZE_LIMIT = 200_000
 
@@ -361,12 +358,6 @@ class GapsPlan:
         return tuple(out)
 
     @property
-    def part_ratio(self) -> Fraction:
-        """(part_size + 1) / ((k - q) t) in lowest terms."""
-        from fractions import Fraction
-        return Fraction(self.part_size + 1, (self.k - self.q) * self.t)
-
-    @property
     def problems(self) -> tuple[str, ...]:
         """Every condition this plan fails; empty when the plan is valid."""
         out = []
@@ -382,8 +373,11 @@ class GapsPlan:
         return tuple(out)
 
     def to_json_dict(self) -> dict:
-        ratio = self.part_ratio
-        return json_value(self) | {"part_ratio": [ratio.numerator, ratio.denominator]}
+        """json_value of the fields, plus part_ratio: (part_size + 1) / ((k - q) t)
+        as [numerator, denominator] in lowest terms. Both are positive."""
+        num, den = self.part_size + 1, (self.k - self.q) * self.t
+        g = math.gcd(num, den)
+        return json_value(self) | {"part_ratio": [num // g, den // g]}
 
 
 def _make_gaps_plan(
@@ -566,11 +560,7 @@ def build_gaps(
             flip_report=None,
         )
 
-    amplifier = bipartite_matching_graph(MatchingColourPlan(
-        part_size=plan.part_size,
-        colour_count=k,
-        assignments=plan.matching_assignments,
-    ))
+    amplifier = bipartite_matching_graph(k, plan.matching_assignments)
     graph = strong_product(amplifier, core)
     report = verify_flip(graph)
     if report.colour_degrees != plan.deg_at_t or report.uniform_e_chain != plan.e_at_t:
@@ -615,16 +605,3 @@ def colour_merge(g: EdgeColouredGraph, partition: Sequence[Sequence[int]]) -> Ed
             for old in g.profiles())
     _expect_profile(merged, sums, "merged")
     return merged
-
-
-def unit_gap_source_feasible(b: int, q: int) -> bool:
-    """Advisory predicate for prefix graphs with unit degree gaps.
-
-    True when b >= 101 and floor((b^2 - 10*b^(3/2)) / 4) >= q - 1. The
-    fractional power never touches floats: the inequality is equivalent to
-    (b^2 - 4(q-1))^2 >= 100 b^3 whenever the left base is non-negative.
-    """
-    if b < 101:
-        return False
-    margin = b * b - 4 * (q - 1)
-    return margin >= 0 and margin * margin >= 100 * b**3

@@ -32,10 +32,6 @@ class GroupSubset:
         _check_same_spec(self, other)
         return GroupSubset(self.spec, self.elements | other.elements)
 
-    def intersection(self, other: "GroupSubset") -> "GroupSubset":
-        _check_same_spec(self, other)
-        return GroupSubset(self.spec, self.elements & other.elements)
-
     def is_disjoint(self, other: "GroupSubset") -> bool:
         _check_same_spec(self, other)
         return not (self.elements & other.elements)

@@ -25,7 +25,6 @@ from flipforge.analysis import (
     verify_flip,
 )
 from flipforge.construct import (
-    MatchingColourPlan,
     bipartite_matching_graph,
     cartesian_product,
     packing_delta,
@@ -245,8 +244,7 @@ def test_criterion_07b_amplification_small_scale():
         plan = _make_gaps_plan(2, 4, (7, 5), (4, 5), 1, 40, enforce=False)
         result = build_gaps(plan, prefix)
         assert result.materialized and result.g_order == 960
-        amplifier = bipartite_matching_graph(MatchingColourPlan(
-            plan.part_size, plan.k, plan.matching_assignments))
+        amplifier = bipartite_matching_graph(plan.k, plan.matching_assignments)
         core = result.core
         graph = result.graph
         k = plan.k

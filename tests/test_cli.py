@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flipforge
-from flipforge import cli
+from flipforge import analysis, cli
 from flipforge.analysis import verify_flip
 from flipforge.cli import main
-from flipforge.construct import ColouredConnectingSet, pack_cayley
+from flipforge.construct import ColouredConnectingSet, cayley_build, merge_connecting_sets
 from flipforge.ecgraph import EdgeColouredGraph
 from flipforge.group import parse_group_text
 
@@ -155,7 +155,9 @@ RED_SET = {"group": "z:40", "colour_count": 2, "classes": {"2": [[6], [7], [20],
     {"group": 7},
     {"colour_count": "3"},
     {"classes": {"2": [[2.5], [37.5]]}},
-], ids=["classes-list", "group-int", "colour-count-string", "float-residues"])
+    {"classes": {"2": [[6], [34]], "02": [[7], [33]]}},
+], ids=["classes-list", "group-int", "colour-count-string", "float-residues",
+        "colour-named-twice"])
 def test_pack_malformed_connecting_set_exits_2(tmp_path, capsys, change):
     (tmp_path / "first.json").write_text(json.dumps(
         {"group": "z:40", "colour_count": 2, "classes": {"1": [[9], [18], [22], [31]]}}))
@@ -342,16 +344,24 @@ def test_bounds_unsupported_format_builds_no_table(capsys, monkeypatch):
     assert (rc, out, err) == (2, "", "error: unsupported format 'yaml'\n")
 
 
-def test_cli_import_leaves_fractions_and_csv_unloaded():
-    """Starting the CLI imports neither module: bounds CSV is written directly,
-    and a gaps plan imports Fraction only when its part_ratio is read."""
-    child = "import sys, flipforge.cli; print(sorted({'csv', 'fractions'} & set(sys.modules)))"
+def test_cli_import_leaves_fractions_and_csv_unloaded(tmp_path):
+    """Starting the CLI imports neither module, since bounds CSV is written
+    directly, and writing a gaps plan's part_ratio does not import fractions."""
+    child = (
+        "import sys, flipforge.cli\n"
+        "print(sorted({'csv', 'fractions'} & set(sys.modules)))\n"
+        "rc = flipforge.cli.main(['gaps-plan', '--q', '2', '--k', '9', '--prefix-e', '140,135',\n"
+        "                         '--prefix-deg', '42,135', '--out', sys.argv[1]])\n"
+        "print(rc, 'fractions' in sys.modules, file=sys.stderr)\n")
+    out_path = tmp_path / "plan.json"
     src = os.path.dirname(os.path.dirname(flipforge.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src})
+        [sys.executable, "-c", child, str(out_path)], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stderr == "0 False\n"
+    assert json.loads(out_path.read_text())["part_ratio"] == [813, 791]
 
 
 def test_gaps_plan_valid(tmp_path, capsys):
@@ -417,6 +427,18 @@ def test_search_sumfree_command(capsys):
     assert json.loads(out)["optimal"] is False
     rc, _, err = run(capsys, "search-sumfree", "--group", "z:30")
     assert rc == 2  # exhaustive mode order cap
+
+
+@pytest.mark.parametrize("group, order", [("z:25", 25), ("z:1000001", 1000001)])
+def test_search_exhaustive_refuses_order_before_listing_atoms(capsys, monkeypatch, group, order):
+    """The order cap is checked before the group's elements are enumerated."""
+    def refuse(spec):
+        raise AssertionError("atoms listed for a group over the exhaustive cap")
+
+    monkeypatch.setattr(analysis, "_atoms", refuse)
+    rc, out, err = run(capsys, "search-sumfree", "--group", group)
+    assert (rc, out) == (2, "")
+    assert err == f"error: exhaustive mode needs group order <= 24, got {order}\n"
 
 
 def test_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -551,7 +573,7 @@ def test_pack_input_contract(texts):
     rc, out, err = run_on_files(["pack", "--first", "{0}", "--second", "{1}"], texts)
     a, b = (parsed_or_none(t, ColouredConnectingSet.from_json_dict) for t in texts)
     try:
-        packed = None if a is None or b is None else pack_cayley(a, b)
+        packed = None if a is None or b is None else cayley_build(merge_connecting_sets(a, b))
     except ValueError:
         packed = None
     if packed is None:

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from flipforge.analysis import verify_flip
 from flipforge.construct import (
     ColouredConnectingSet,
-    MatchingColourPlan,
     bipartite_matching_graph,
     cartesian_product,
     cayley_build,
     merge_connecting_sets,
-    pack_cayley,
     packing_delta,
     product_vertex,
     strong_product,
@@ -119,6 +117,10 @@ def test_connecting_set_json_round_trip():
     assert again == ccs
     with pytest.raises(ValueError):
         ColouredConnectingSet.from_json_dict({"group": "z:7"})
+    # keys "1" and "01" both mean colour 1; neither class may replace the other
+    with pytest.raises(ValueError, match="^class key '01' repeats colour 1$"):
+        ColouredConnectingSet.from_json_dict(
+            {"group": "z:7", "classes": {"1": [[1], [6]], "01": [[2], [5]]}})
 
 
 def test_cayley_build_small():
@@ -199,12 +201,6 @@ def test_merge_connecting_sets():
     assert sorted(dict(merged2.classes)) == [1, 2]
     with pytest.raises(ValueError):
         merge_connecting_sets(b, c)  # same elements on two colours
-
-
-def test_pack_cayley_equals_merged_build():
-    a = ColouredConnectingSet.of(Z7, {1: GroupSubset.of(Z7, [1, 6])}, colour_count=2)
-    b = ColouredConnectingSet.of(Z7, {2: GroupSubset.of(Z7, [2, 5])}, colour_count=2)
-    assert pack_cayley(a, b) == cayley_build(merge_connecting_sets(a, b))
 
 
 # ---------------------------------------------------------------------- products
@@ -358,18 +354,19 @@ def test_packing_delta_rejects_overlap():
 
 
 def test_matching_plan_validation():
-    MatchingColourPlan(3, 2, (1, 2, 2))
-    with pytest.raises(ValueError):
-        MatchingColourPlan(0, 1, ())
-    with pytest.raises(ValueError):
-        MatchingColourPlan(3, 2, (1, 2))
-    with pytest.raises(ValueError):
-        MatchingColourPlan(3, 2, (1, 2, 3))
+    """The part size is the number of assignments, so at least one is needed,
+    and every assigned colour must lie in 1..k."""
+    assert bipartite_matching_graph(2, (1, 2, 2)).vertex_count == 6
+    with pytest.raises(ValueError, match="at least one matching assignment"):
+        bipartite_matching_graph(1, ())
+    with pytest.raises(ValueError, match=r"colour 3 outside 1\.\.2"):
+        bipartite_matching_graph(2, (1, 2, 3))
+    with pytest.raises(ValueError, match=r"colour 0 outside 1\.\.2"):
+        bipartite_matching_graph(2, (0, 1))
 
 
 def test_matching_graph_landmark():
-    plan = MatchingColourPlan(5, 4, (3, 3, 4, 4, 4))
-    g = bipartite_matching_graph(plan)
+    g = bipartite_matching_graph(4, (3, 3, 4, 4, 4))
     assert g.vertex_count == 10
     assert len(g.edges) == 25  # all of K_{5,5}
     for v in range(10):
@@ -383,8 +380,8 @@ def test_matching_graph_structure():
     for _ in range(20):
         p = rng.randint(1, 7)
         k = rng.randint(1, 5)
-        plan = MatchingColourPlan(p, k, tuple(rng.randint(1, k) for _ in range(p)))
-        g = bipartite_matching_graph(plan)
+        assignments = tuple(rng.randint(1, k) for _ in range(p))
+        g = bipartite_matching_graph(k, assignments)
         # bipartite on parts {0..p-1} and {p..2p-1}
         assert all((u < p) != (v < p) for u, v, _ in g.edges)
         assert len(g.edges) == p * p
@@ -394,5 +391,5 @@ def test_matching_graph_structure():
             assert prof.e_closed == prof.deg
             assert prof.e_open == (0,) * k
             assert prof.deg == tuple(
-                sum(1 for c in plan.assignments if c == j) for j in range(1, k + 1))
+                sum(1 for c in assignments if c == j) for j in range(1, k + 1))
         assert g.to_json_dict()["vertices"] == 2 * p

@@ -23,7 +23,6 @@ from flipforge.pipelines import (
     colour_merge,
     plan_br,
     plan_gaps,
-    unit_gap_source_feasible,
 )
 from flipforge.setalg import GroupSubset, is_inverse_closed, is_sum_free, sumset
 
@@ -252,7 +251,6 @@ def test_plan_gaps_synthetic():
     assert plan.gap_slack == 19
     assert plan.t == plan.t_min == 113
     assert plan.part_size == 812
-    assert plan.part_ratio == Fraction(813, 791)
     assert plan.core_degree == 198
     assert plan.prefix_gap == 5
     assert plan.layer_group == GroupSpec((2, 2, 20))
@@ -307,6 +305,25 @@ def test_plan_gaps_matching_assignments():
     # colour q+j receives t+j-1 matchings
     for j in range(1, 8):
         assert a.count(2 + j) == plan.t + j - 1
+
+
+def test_plan_part_size_counts_matchings_and_ratio_is_reduced():
+    """part_size is the amplifier's part size, one vertex per matching, and the
+    plan JSON's part_ratio is (part_size + 1) / ((k - q) t) in lowest terms."""
+    reducible = set()
+    for q in (1, 2, 3):
+        for k in range(q + 2, q + 9):
+            for t in (1, 2, 3, 7, 113):
+                plan = _make_gaps_plan(q, k, tuple(100 - i for i in range(q)),
+                                       tuple(range(1, q + 1)), t, None, enforce=False)
+                assert len(plan.matching_assignments) == plan.part_size, (q, k, t)
+                ratio = Fraction(plan.part_size + 1, (k - q) * t)
+                assert plan.to_json_dict()["part_ratio"] == [ratio.numerator, ratio.denominator]
+                reducible.add(ratio.denominator != (k - q) * t)
+    assert reducible == {False, True}
+    assert plan_gaps(**SYNTH).to_json_dict()["part_ratio"] == [813, 791]  # 813 / (7 * 113)
+    relaxed = _make_gaps_plan(**SYNTH, t=2, prefix_order=None, enforce=False)
+    assert relaxed.to_json_dict()["part_ratio"] == [18, 7]  # 36 / (7 * 2)
 
 
 def test_plan_gaps_gap_condition_failure():
@@ -445,7 +462,7 @@ def test_build_gaps_sizes_the_product_before_building_it(monkeypatch):
     plan = _make_gaps_plan(2, 5, report.uniform_e_chain, report.colour_degrees, 2000,
                            prefix.vertex_count, enforce=False)
 
-    def refuse(plan):
+    def refuse(colour_count, assignments):
         raise AssertionError("amplifier built over the limit")
 
     monkeypatch.setattr(pipelines, "bipartite_matching_graph", refuse)
@@ -581,19 +598,3 @@ def test_colour_merge_partition_validation():
     with pytest.raises(ValueError, match="cover colours"):
         colour_merge(g, [(1, 2, 3)])
 
-
-# ------------------------------------------------------------------ feasibility
-
-
-def test_unit_gap_source_feasible():
-    assert not unit_gap_source_feasible(100, 1)
-    assert unit_gap_source_feasible(101, 1)
-    assert unit_gap_source_feasible(101, 13)
-    assert not unit_gap_source_feasible(101, 14)
-    # threshold replay with exact integer arithmetic at a larger b
-    b = 1000
-    limit = max(
-        q for q in range(1, b * b)
-        if (b * b - 4 * (q - 1)) >= 0 and (b * b - 4 * (q - 1)) ** 2 >= 100 * b**3)
-    assert unit_gap_source_feasible(b, limit)
-    assert not unit_gap_source_feasible(b, limit + 1)
