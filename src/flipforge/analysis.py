@@ -7,13 +7,14 @@ e_1[v] > e_2[v] > ... > e_k[v] decrease strictly at every vertex.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .ecgraph import EdgeColouredGraph
 from .group import ENUMERATION_LIMIT, GroupSpec
-from .setalg import GroupSubset, is_sum_free, json_value
+from .setalg import GroupSubset, _translator, json_value
 
 VIOLATION_JSON_CAP = 20
 
@@ -215,14 +216,12 @@ class SearchResult:
 def _atoms(spec: GroupSpec) -> list[tuple]:
     """Inverse-closed building blocks {x, -x}, involutions as singletons."""
     atoms = []
-    seen = set()
+    seen = {spec.identity}
     for x in spec.elements():
-        if x == spec.identity or x in seen:
-            continue
-        neg = spec.neg(x)
-        seen.add(x)
-        seen.add(neg)
-        atoms.append((x,) if neg == x else (x, neg))
+        if x not in seen:
+            neg = spec.neg(x)
+            seen.update((x, neg))
+            atoms.append((x,) if neg == x else (x, neg))
     return atoms
 
 
@@ -233,9 +232,19 @@ def search_sumfree_inverse_closed(
 ) -> SearchResult:
     """Search for a maximum (exhaustive) or maximal (greedy) sum-free inverse-closed subset.
 
-    Candidates are unions of atoms {x, -x}, which keeps every candidate
-    inverse-closed by construction. Atom order is deterministic, so repeated
-    runs return identical subsets.
+    Candidates are unions of atoms {x, -x}, so every one is inverse-closed.
+    A candidate S is a bitset over element indices with S + S kept beside it:
+    adding atom A gives (S u A) + (S u A) = (S + S) u ((S u A) + a for a in A).
+    Atom order is deterministic, so repeated runs return identical subsets.
+
+    Exhaustive mode returns the least atom mask of the largest size (bit i
+    is the i-th atom in element order). It runs depth first from the highest
+    atom, leaving each atom out before taking it, and cuts a branch once its
+    set is not sum-free (then no superset is) or cannot outgrow the best.
+    ``examined`` is 2^atoms, the candidate space covered, pruned masks
+    included. Greedy mode keeps each atom, in order, that leaves the set
+    sum-free; each try is a few operations on |G|-bit integers, so a run
+    costs about |G|^2 bit operations.
     """
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"mode must be 'exhaustive' or 'greedy', got {mode!r}")
@@ -243,47 +252,54 @@ def search_sumfree_inverse_closed(
         raise ValueError(
             f"exhaustive mode needs group order <= {EXHAUSTIVE_ORDER_CAP}, got {spec.order}")
     atoms = _atoms(spec)
+    translate = _translator(spec.factors)
+    examined, exhausted = 0, False
     if mode == "exhaustive":
-        # A candidate's size is its atom count plus its two-element atom count,
-        # so masks no larger than the best so far are skipped before any set is built.
-        pair_atoms = sum(1 << i for i, atom in enumerate(atoms) if len(atom) == 2)
         examined = 1 << len(atoms)
         if budget is not None and budget < examined:
             raise ValueError(
                 f"exhaustive search budget {budget} exceeded after {max(budget, 0)} candidates")
-        best: frozenset = frozenset()
-        for mask in range(examined):
-            if mask.bit_count() + (mask & pair_atoms).bit_count() <= len(best):
-                continue
-            members = frozenset(
-                x for i, atom in enumerate(atoms) if mask >> i & 1 for x in atom)
-            if is_sum_free(GroupSubset(spec, members)):
-                best = members
-        return SearchResult(
-            subset=GroupSubset(spec, best),
-            size=len(best),
-            mode=mode,
-            optimal=True,
-            budget_exhausted=False,
-            examined=examined,
-        )
+        atom_bits = [sum(translate(1, x) for x in atom) for atom in atoms]
+        room = list(itertools.accumulate(map(len, atoms), initial=0))
+        best = [0, 0]  # bitset, size
 
-    members: frozenset = frozenset()
-    examined = 0
-    exhausted = False
-    for atom in atoms:
-        if budget is not None and examined >= budget:
-            exhausted = True
-            break
-        examined += 1
-        candidate = members | frozenset(atom)
-        if is_sum_free(GroupSubset(spec, candidate)):
-            members = candidate
+        def leave_or_take(i: int, s: int, ss: int, size: int) -> None:
+            # Atoms i and up are decided; leaving atom i - 1 out first visits masks in order.
+            if size + room[i] <= best[1]:
+                return
+            if i == 0:
+                best[:] = s, size
+                return
+            i -= 1
+            leave_or_take(i, s, ss, size)
+            t = s | atom_bits[i]
+            for x in atoms[i]:
+                ss |= translate(t, x)
+            if not ss & t:
+                leave_or_take(i, t, ss, size + len(atoms[i]))
+
+        leave_or_take(len(atoms), 0, 0, 0)
+        members = [x for atom, bits in zip(atoms, atom_bits) if best[0] & bits for x in atom]
+    else:
+        members = []
+        s = ss = 0
+        for atom in atoms:
+            if budget is not None and examined >= budget:
+                exhausted = True
+                break
+            examined += 1
+            t = s | sum(translate(1, x) for x in atom)
+            grown = ss
+            for x in atom:
+                grown |= translate(t, x)
+            if not grown & t:
+                s, ss = t, grown
+                members.extend(atom)
     return SearchResult(
-        subset=GroupSubset(spec, members),
+        subset=GroupSubset(spec, frozenset(members)),
         size=len(members),
         mode=mode,
-        optimal=False,
+        optimal=mode == "exhaustive",
         budget_exhausted=exhausted,
         examined=examined,
     )

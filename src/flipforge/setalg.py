@@ -8,8 +8,9 @@ disjointness facts involving the involution n/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .group import ElementLike, GroupElement, GroupSpec, cyclic, format_elements
 
@@ -92,6 +93,35 @@ def is_sum_free(a: GroupSubset) -> bool:
 
 def is_inverse_closed(a: GroupSubset) -> bool:
     return a.elements == inverses(a).elements
+
+
+def _translator(factors: tuple[int, ...]) -> Callable[[int, GroupElement], int]:
+    """S + x on index bitsets: bit i of S stands for the i-th element in
+    enumeration order, the mixed-radix numbering with the first factor most
+    significant, so ``translate(1, x)`` is the bit of x.
+
+    Adding x rotates every block of each factor by that factor's residue y:
+    ``((S & lo) << y*inner) | ((S & hi) >> (f-y)*inner)``. The low mask is
+    the block pattern times the factor's repunit, one shift and one
+    subtraction; only the repunits are kept, so memory stays at one integer
+    per factor however many shifts a search uses.
+    """
+    order = math.prod(factors)
+    full = (1 << order) - 1
+    blocks = []
+    inner = order
+    for f in factors:
+        inner //= f
+        blocks.append((f, inner, full // ((1 << f * inner) - 1)))
+
+    def translate(bits: int, x: GroupElement) -> int:
+        for y, (f, inner, repunit) in zip(x, blocks):
+            if y:
+                low = bits & ((repunit << (f - y) * inner) - repunit)
+                bits = (low << y * inner) | ((bits ^ low) >> (f - y) * inner)
+        return bits
+
+    return translate
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Flip verification, order bound tables, and the sum-free subset search."""
 
 import itertools
+import math
 
 import pytest
 
@@ -299,6 +300,117 @@ def test_search_greedy_large_group():
     result = search_sumfree_inverse_closed(cyclic(100), mode="greedy")
     assert is_sum_free(result.subset)
     assert is_inverse_closed(result.subset)
+
+
+def abelian_groups(max_order):
+    """One group per isomorphism class, as invariant factors n1 | n2 | ... ."""
+    out = []
+
+    def extend(prefix, order):
+        if prefix:
+            out.append(GroupSpec(prefix))
+        last = prefix[-1] if prefix else 1
+        for m in range(max(2, last), max_order // order + 1):
+            if m % last == 0:
+                extend(prefix + (m,), order * m)
+    extend((), 1)
+    return out
+
+
+def residue_atoms(spec):
+    """The atoms {x, -x} in element order, by residue arithmetic."""
+    atoms, seen = [], set()
+    for x in itertools.product(*map(range, spec.factors)):
+        neg = tuple(-p % n for p, n in zip(x, spec.factors))
+        if any(x) and x not in seen:
+            seen.update((x, neg))
+            atoms.append((x,) if neg == x else (x, neg))
+    return atoms
+
+
+def residue_sum_free(spec, members):
+    return not any(tuple((p + q) % n for p, q, n in zip(x, y, spec.factors)) in members
+                   for x in members for y in members)
+
+
+def reference_exhaustive(spec):
+    """The mask loop the search replaced: the least atom mask of the largest size."""
+    atoms = residue_atoms(spec)
+    best = frozenset()
+    for mask in range(1 << len(atoms)):
+        members = frozenset(x for i, atom in enumerate(atoms) if mask >> i & 1 for x in atom)
+        if len(members) > len(best) and residue_sum_free(spec, members):
+            best = members
+    return best, len(best), 1 << len(atoms)
+
+
+def reference_greedy(spec, budget):
+    """Each atom in order, kept when the set stays sum-free; (subset, examined, exhausted)."""
+    members, examined = frozenset(), 0
+    for atom in residue_atoms(spec):
+        if budget is not None and examined >= budget:
+            return members, examined, True
+        examined += 1
+        if residue_sum_free(spec, members | set(atom)):
+            members |= set(atom)
+    return members, examined, False
+
+
+SMALL_GROUPS = abelian_groups(EXHAUSTIVE_ORDER_CAP)
+
+
+def test_search_exhaustive_matches_the_mask_loop():
+    assert len(SMALL_GROUPS) == 36
+    for spec in SMALL_GROUPS:
+        result = search_sumfree_inverse_closed(spec)
+        assert (result.subset.elements, result.size, result.examined) == \
+            reference_exhaustive(spec), spec
+
+
+@pytest.mark.parametrize("budget", [None, 0, 1, 2])
+def test_search_greedy_matches_the_residue_loop(budget):
+    groups = abelian_groups(60)
+    assert len(groups) == 101
+    for spec in groups:
+        result = search_sumfree_inverse_closed(spec, mode="greedy", budget=budget)
+        assert (result.subset.elements, result.examined, result.budget_exhausted) == \
+            reference_greedy(spec, budget), spec
+
+
+def test_search_greedy_z3000_by_modular_arithmetic():
+    n = 3000
+    result = search_sumfree_inverse_closed(cyclic(n), mode="greedy")
+    s = {x for (x,) in result.subset.elements}
+    assert (result.size, result.examined, result.budget_exhausted) == (n // 2, n // 2, False)
+    assert s == set(range(1, n, 2))
+    assert s == {-x % n for x in s}
+    assert not any((x + y) % n in s for x in s for y in s)
+
+
+def green_ruzsa_mu(spec):
+    """Largest sum-free set in a finite Abelian group (Green & Ruzsa, 2005)."""
+    order = spec.order
+    primes = [p for p in range(2, order + 1)
+              if order % p == 0 and all(p % d for d in range(2, p))]
+    p = next((p for p in primes if p % 3 == 2), None)
+    if p is not None:
+        return order * (p + 1) // (3 * p)
+    if order % 3 == 0:
+        return order // 3
+    m = math.lcm(*spec.factors)
+    return order * (m - 1) // (3 * m)
+
+
+def test_search_exhaustive_under_the_green_ruzsa_bound():
+    """Every inverse-closed sum-free set is sum-free, so mu(G) bounds the
+    search. Equality holds except in four groups, pinned here."""
+    below = {}
+    for spec in SMALL_GROUPS:
+        size, mu = search_sumfree_inverse_closed(spec).size, green_ruzsa_mu(spec)
+        assert size <= mu, spec
+        if size < mu:
+            below[spec.factors] = (size, mu)
+    assert below == {(3,): (0, 1), (3, 3): (0, 3), (9,): (2, 3), (21,): (6, 7)}
 
 
 def test_search_mode_validation():

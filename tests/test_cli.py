@@ -441,6 +441,18 @@ def test_search_exhaustive_refuses_order_before_listing_atoms(capsys, monkeypatc
     assert err == f"error: exhaustive mode needs group order <= 24, got {order}\n"
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_search_lists_atoms_through_the_patched_name(capsys, monkeypatch, mode):
+    """The test above patches analysis._atoms, so that name must be what lists
+    the atoms of a group the search accepts."""
+    calls = []
+    listed = analysis._atoms
+    monkeypatch.setattr(analysis, "_atoms", lambda spec: calls.append(spec) or listed(spec))
+    rc, out, _ = run(capsys, "search-sumfree", "--group", "z:24", "--mode", mode)
+    assert rc == 0 and json.loads(out)["size"] > 0
+    assert calls == [parse_group_text("z:24")]
+
+
 def test_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
     """Internal audit failures surface as exit 1, not a traceback."""
     import flipforge.cli as cli_mod

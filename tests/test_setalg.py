@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipforge.group import GroupSpec, cyclic
 from flipforge.setalg import (
@@ -17,6 +19,7 @@ from flipforge.setalg import (
     json_value,
     sumset,
 )
+from flipforge.setalg import _translator
 
 
 def random_subset(rng, spec, max_size=8):
@@ -236,3 +239,25 @@ def test_json_value_encodes_nested_values():
     assert json_value(z) == "z:2,4"
     assert json_value(ResidueInterval(8, 2, 3)) == {"n": 8, "lo": 2, "hi": 3}
     assert json_value(((1, (2, 3)), [None, "x", True])) == [[1, [2, 3]], [None, "x", True]]
+
+
+@st.composite
+def translate_cases(draw):
+    """1-3 cyclic factors in 2..12, a random subset and a random element."""
+    spec = GroupSpec(tuple(draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))))
+    elements = list(spec.elements())
+    members = draw(st.sets(st.sampled_from(elements), max_size=40))
+    return spec, elements, members, draw(st.sampled_from(elements))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(translate_cases())
+def test_translate_is_residue_addition(case):
+    """The bitset rotation agrees with adding residue tuples, over the
+    enumeration order that numbers the bits."""
+    spec, elements, members, x = case
+    index = {e: i for i, e in enumerate(elements)}
+    moved = {tuple((p + q) % n for p, q, n in zip(e, x, spec.factors)) for e in members}
+    translate = _translator(spec.factors)
+    assert translate(sum(1 << index[e] for e in members), x) == sum(1 << index[e] for e in moved)
+    assert translate(1, x) == 1 << index[x]
