@@ -232,10 +232,14 @@ def search_sumfree_inverse_closed(
 ) -> SearchResult:
     """Search for a maximum (exhaustive) or maximal (greedy) sum-free inverse-closed subset.
 
-    Candidates are unions of atoms {x, -x}, so every one is inverse-closed.
-    A candidate S is a bitset over element indices with S + S kept beside it:
-    adding atom A gives (S u A) + (S u A) = (S + S) u ((S u A) + a for a in A).
+    Candidates are unions of atoms A = {x, -x}, so every one is inverse-closed;
+    each is a bitset over element indices. A sum-free S may take A exactly when
+    t = S u A misses t + x, so one translate decides each atom. For then
+    t - x = -(t + x) misses t as well, and S + S misses A, since s + s' = a
+    would put s = a + (-s') in t + a. So t + t = (S + S) u (t + A) misses t.
     Atom order is deterministic, so repeated runs return identical subsets.
+    The winning bitset is returned as the subset itself, so no member list
+    is built.
 
     Exhaustive mode returns the least atom mask of the largest size (bit i
     is the i-th atom in element order). It runs depth first from the highest
@@ -259,11 +263,11 @@ def search_sumfree_inverse_closed(
         if budget is not None and budget < examined:
             raise ValueError(
                 f"exhaustive search budget {budget} exceeded after {max(budget, 0)} candidates")
-        atom_bits = [sum(translate(1, x) for x in atom) for atom in atoms]
+        atom_bits = [GroupSubset.of(spec, atom).bits for atom in atoms]
         room = list(itertools.accumulate(map(len, atoms), initial=0))
         best = [0, 0]  # bitset, size
 
-        def leave_or_take(i: int, s: int, ss: int, size: int) -> None:
+        def leave_or_take(i: int, s: int, size: int) -> None:
             # Atoms i and up are decided; leaving atom i - 1 out first visits masks in order.
             if size + room[i] <= best[1]:
                 return
@@ -271,33 +275,27 @@ def search_sumfree_inverse_closed(
                 best[:] = s, size
                 return
             i -= 1
-            leave_or_take(i, s, ss, size)
+            leave_or_take(i, s, size)
             t = s | atom_bits[i]
-            for x in atoms[i]:
-                ss |= translate(t, x)
-            if not ss & t:
-                leave_or_take(i, t, ss, size + len(atoms[i]))
+            if not translate(t, atoms[i][0]) & t:  # t is sum-free: see the docstring
+                leave_or_take(i, t, size + len(atoms[i]))
 
-        leave_or_take(len(atoms), 0, 0, 0)
-        members = [x for atom, bits in zip(atoms, atom_bits) if best[0] & bits for x in atom]
+        leave_or_take(len(atoms), 0, 0)
+        s = best[0]
     else:
-        members = []
-        s = ss = 0
+        s = 0
         for atom in atoms:
             if budget is not None and examined >= budget:
                 exhausted = True
                 break
             examined += 1
-            t = s | sum(translate(1, x) for x in atom)
-            grown = ss
-            for x in atom:
-                grown |= translate(t, x)
-            if not grown & t:
-                s, ss = t, grown
-                members.extend(atom)
+            t = s | GroupSubset.of(spec, atom).bits
+            if not translate(t, atom[0]) & t:
+                s = t
+    subset = GroupSubset(spec, s)
     return SearchResult(
-        subset=GroupSubset(spec, frozenset(members)),
-        size=len(members),
+        subset=subset,
+        size=len(subset),
         mode=mode,
         optimal=mode == "exhaustive",
         budget_exhausted=exhausted,

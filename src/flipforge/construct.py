@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .ecgraph import Edge, EdgeColouredGraph
-from .group import ENUMERATION_LIMIT, GroupSpec, format_elements, parse_group_text
-from .setalg import GroupSubset, inverses, is_inverse_closed, sumset
+from .group import ENUMERATION_LIMIT, GroupSpec, parse_group_text
+from .setalg import GroupSubset, is_inverse_closed, json_value, sumset
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class ColouredConnectingSet:
         if not classes:
             raise ValueError("connecting set needs at least one colour class")
         items = tuple(sorted(classes.items()))
+        union = items[0][1]
         for colour, subset in items:
             if not isinstance(colour, int) or colour < 1:
                 raise ValueError(f"colour must be a positive integer, got {colour!r}")
@@ -42,7 +43,7 @@ class ColouredConnectingSet:
                 raise ValueError(f"class {colour} contains the identity")
             if not is_inverse_closed(subset):
                 raise ValueError(f"class {colour} is not inverse-closed")
-        union = frozenset().union(*(subset.elements for _, subset in items))
+            union = union.union(subset)
         if len(union) != sum(len(subset) for _, subset in items):
             # Some pair overlaps: find the first in colour order to name it.
             for i in range(len(items)):
@@ -58,19 +59,16 @@ class ColouredConnectingSet:
         return ColouredConnectingSet(spec, items, colour_count)
 
     def union_elements(self) -> GroupSubset:
-        out = frozenset()
+        out = self.classes[0][1]
         for _, subset in self.classes:
-            out = out | subset.elements
-        return GroupSubset(self.spec, out)
+            out = out.union(subset)
+        return out
 
     def to_json_dict(self) -> dict:
         return {
             "group": self.spec.to_text(),
             "colour_count": self.colour_count,
-            "classes": {
-                str(colour): format_elements(subset.elements)
-                for colour, subset in self.classes
-            },
+            "classes": {str(colour): json_value(subset) for colour, subset in self.classes},
         }
 
     @staticmethod

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
-from .analysis import FlipReport, check_br_range, new_bound, parity_factor, verify_flip
+from .analysis import FlipReport, new_bound, parity_factor, verify_flip
 from .construct import (
     ColouredConnectingSet,
     bipartite_matching_graph,
@@ -73,19 +73,18 @@ class BrPlan:
         return json_value(self)
 
 
-def _embed_into_double(subset: GroupSubset, double: GroupSpec) -> GroupSubset:
-    return GroupSubset.of(double, [(0, x[0]) for x in subset.elements])
-
-
 def plan_br(b: int, r: int) -> BrPlan:
     """Resolve interval placement and parity handling for the (b, r) construction.
 
     The red base interval sits at the bottom of the open interval (n/8, n/4),
     the blue base at the top, and the doubled blue sub-interval at the top of
     the blue base, which keeps its minimum at least 3n/16. Every set-level
-    invariant is re-checked here by direct enumeration.
+    invariant is re-checked here on the sets themselves. Groups over the
+    enumeration limit are refused before any set is built.
     """
-    check_br_range(b, r)
+    order = new_bound(b, r)
+    if order > ENUMERATION_LIMIT:
+        raise ValueError(f"group order {order} exceeds enumeration limit {ENUMERATION_LIMIT}")
     blue_double_size = (b + 2) // 6
     blue_base_size = (b + 2) // 2 - 2 * blue_double_size
     red_base_size = r // 2
@@ -113,7 +112,6 @@ def plan_br(b: int, r: int) -> BrPlan:
         raise VerificationError(
             f"red symmetric set has {len(red_sym)} elements, expected {r - r % 2}")
 
-    half = base_spec.element(n // 2)
     if b % 2 == 0 and r % 2 == 0:
         case = "both-even"
         group = base_spec
@@ -122,19 +120,17 @@ def plan_br(b: int, r: int) -> BrPlan:
     elif b % 2 == 1 and r % 2 == 1:
         case = "both-odd"
         group = GroupSpec((2, n))
-        blue_set = _embed_into_double(blue_core, group).union(
-            GroupSubset.of(group, [(0, n // 2)]))
-        red_set = _embed_into_double(red_sym, group).union(
-            GroupSubset.of(group, [(1, 0)]))
+        blue_set = GroupSubset.of(group, [(0, x) for (x,) in blue_core.elements] + [(0, n // 2)])
+        red_set = GroupSubset.of(group, [(0, x) for (x,) in red_sym.elements] + [(1, 0)])
     else:
         case = "one-odd"
         group = base_spec
         if b % 2 == 1:
-            blue_set = blue_core.union(GroupSubset.of(base_spec, [half]))
+            blue_set = blue_core.union(GroupSubset.of(base_spec, [n // 2]))
             red_set = red_sym
         else:
             blue_set = blue_core
-            red_set = red_sym.union(GroupSubset.of(base_spec, [half]))
+            red_set = red_sym.union(GroupSubset.of(base_spec, [n // 2]))
 
     _audit_final_sets(b, r, blue_set, red_set)
     return BrPlan(

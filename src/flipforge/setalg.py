@@ -8,6 +8,7 @@ disjointness facts involving the involution n/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Optional
@@ -17,28 +18,42 @@ from .group import ElementLike, GroupElement, GroupSpec, cyclic, format_elements
 
 @dataclass(frozen=True)
 class GroupSubset:
-    """Immutable subset of a fixed group."""
+    """Immutable subset of a fixed group: bit i of ``bits`` is the i-th element of
+    ``spec.elements()``, so set operations are integer operations."""
 
     spec: GroupSpec
-    elements: frozenset[GroupElement]
+    bits: int
 
     @staticmethod
     def of(spec: GroupSpec, items: Iterable[ElementLike]) -> "GroupSubset":
-        return GroupSubset(spec, frozenset(spec.element(x) for x in items))
+        spec.check_enumerable()  # the bitset takes |G| / 8 bytes
+        bits = 0
+        for x in items:
+            index = 0
+            for y, n in zip(spec.element(x), spec.factors):
+                index = index * n + y
+            bits |= 1 << index
+        return GroupSubset(spec, bits)
+
+    @property
+    def elements(self) -> frozenset[GroupElement]:
+        """The members as residue tuples, decoded in one pass over the group."""
+        flags = map(int, reversed(bin(self.bits)[2:]))
+        return frozenset(itertools.compress(self.spec.elements(), flags))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.bits.bit_count()
 
     def union(self, other: "GroupSubset") -> "GroupSubset":
         _check_same_spec(self, other)
-        return GroupSubset(self.spec, self.elements | other.elements)
+        return GroupSubset(self.spec, self.bits | other.bits)
 
     def is_disjoint(self, other: "GroupSubset") -> bool:
         _check_same_spec(self, other)
-        return not (self.elements & other.elements)
+        return not self.bits & other.bits
 
     def contains_identity(self) -> bool:
-        return self.spec.identity in self.elements
+        return bool(self.bits & 1)
 
 
 def json_value(obj: object) -> object:
@@ -68,31 +83,28 @@ def _check_same_spec(a: GroupSubset, b: GroupSubset) -> None:
 
 
 def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
-    """All pairwise sums x + y for x in a, y in b."""
+    """All pairwise sums x + y for x in a, y in b: a translated by each y."""
     _check_same_spec(a, b)
-    factors = a.spec.factors
-    # Members are stored reduced, so they add without GroupSpec.add's coercion.
-    out = frozenset(tuple((p + q) % n for p, q, n in zip(x, y, factors))
-                    for x in a.elements for y in b.elements)
-    return GroupSubset(a.spec, out)
+    translate = _translator(a.spec.factors)
+    bits = 0
+    for y in b.elements:
+        bits |= translate(a.bits, y)
+    return GroupSubset(a.spec, bits)
 
 
 def inverses(a: GroupSubset) -> GroupSubset:
-    return GroupSubset(a.spec, frozenset(a.spec.neg(x) for x in a.elements))
+    """-S: reversing the |G| bits sends each residue y to f-1-y; adding 1 to each gives -y."""
+    flipped = int(bin(a.bits)[2:].zfill(a.spec.order)[::-1], 2)
+    return GroupSubset(a.spec, _translator(a.spec.factors)(flipped, (1,) * len(a.spec.factors)))
 
 
 def is_sum_free(a: GroupSubset) -> bool:
     """No x, y, z in the set with x + y = z (x = y allowed)."""
-    factors, members = a.spec.factors, a.elements
-    for x in members:
-        for y in members:
-            if tuple((p + q) % n for p, q, n in zip(x, y, factors)) in members:
-                return False
-    return True
+    return sumset(a, a).is_disjoint(a)
 
 
 def is_inverse_closed(a: GroupSubset) -> bool:
-    return a.elements == inverses(a).elements
+    return a == inverses(a)
 
 
 def _translator(factors: tuple[int, ...]) -> Callable[[int, GroupElement], int]:

@@ -271,6 +271,38 @@ def test_pack_empty_classes_over_huge_group_exits_2(tmp_path):
         "error: group order 1000000000 exceeds enumeration limit 1000000\n")
 
 
+HUGE_GROUP_ERROR = "error: group order 1000000000000 exceeds enumeration limit 1000000\n"
+
+
+def test_cayley_class_over_huge_group_exits_2():
+    """A bitset over 10^12 elements would take 125 GB, so the group's size is
+    checked before the class sets any bit."""
+    proc = run_capped("cayley", "--group", "z:1000000000000", "--class", "1=1;-1")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == HUGE_GROUP_ERROR
+
+
+def test_pack_classes_over_huge_group_exits_2(tmp_path):
+    for name, colour, x in (("first", "1", 1), ("second", "2", 2)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"group": "z:1000000000000", "classes": {colour: [[x], [-x]]}}))
+    proc = run_capped("pack", "--first", str(tmp_path / "first.json"),
+                      "--second", str(tmp_path / "second.json"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == HUGE_GROUP_ERROR
+
+
+def test_construct_br_over_limit_exits_2_before_planning():
+    """(99999, 299999) needs a group of order 2,666,704: refused before any
+    interval or set is built, not after seconds of set algebra."""
+    proc = run_capped("construct-br", "--b", "99999", "--r", "299999")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: group order 2666704 exceeds enumeration limit 1000000\n"
+
+
 def test_verify_huge_vertex_count_exits_2(tmp_path):
     """A 60-byte file must not make the graph allocate 10^12 adjacency lists."""
     path = tmp_path / "huge.json"

@@ -141,9 +141,8 @@ def test_cayley_build_small():
 
 def test_cayley_build_limit():
     big = GroupSpec((1001, 1000))
-    ccs = ColouredConnectingSet.of(big, {1: GroupSubset.of(big, [(0, 1), (0, 999)])})
     with pytest.raises(ValueError, match="exceeds enumeration limit"):
-        cayley_build(ccs)
+        cayley_build(ColouredConnectingSet.of(big, {1: GroupSubset.of(big, [(0, 1), (0, 999)])}))
 
 
 def cayley_edges_by_group_law(ccs):

@@ -54,14 +54,39 @@ def test_subset_spec_mismatch():
         sumset(a, b)
 
 
-def test_sumset_against_direct_enumeration():
-    rng = random.Random(77)
-    for _ in range(60):
-        spec = GroupSpec(tuple(rng.randint(2, 7) for _ in range(rng.randint(1, 2))))
-        a = random_subset(rng, spec)
-        b = random_subset(rng, spec)
-        expected = {spec.add(x, y) for x in a.elements for y in b.elements}
-        assert sumset(a, b).elements == frozenset(expected)
+@st.composite
+def subset_pairs(draw):
+    """1-3 cyclic factors in 2..12 and two random subsets as sets of residue tuples."""
+    spec = GroupSpec(tuple(draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))))
+    elements = list(spec.elements())
+    return (spec, draw(st.sets(st.sampled_from(elements), max_size=40)),
+            draw(st.sets(st.sampled_from(elements), max_size=40)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(subset_pairs())
+def test_sumset_against_direct_enumeration(case):
+    """Every bitset operation agrees with the same operation on residue tuples."""
+    spec, a, b = case
+
+    def add(x, y):
+        return tuple((p + q) % n for p, q, n in zip(x, y, spec.factors))
+
+    def neg(x):
+        return tuple(-p % n for p, n in zip(x, spec.factors))
+
+    sa, sb = GroupSubset.of(spec, a), GroupSubset.of(spec, b)
+    assert sa.elements == a and sb.elements == b
+    assert len(sa) == len(a)
+    assert sa.union(sb).elements == a | b
+    assert sa.is_disjoint(sb) == (not a & b)
+    assert sa.contains_identity() == ((0,) * len(spec.factors) in a)
+    assert sumset(sa, sb).elements == {add(x, y) for x in a for y in b}
+    minus_a = {neg(x) for x in a}
+    assert inverses(sa).elements == minus_a
+    assert is_inverse_closed(sa) == (a == minus_a)
+    assert is_inverse_closed(GroupSubset.of(spec, a | minus_a))
+    assert is_sum_free(sa) == (not {add(x, y) for x in a for y in a} & a)
 
 
 def test_inverses_and_closure():
