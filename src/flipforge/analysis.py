@@ -256,7 +256,7 @@ def search_sumfree_inverse_closed(
         raise ValueError(
             f"exhaustive mode needs group order <= {EXHAUSTIVE_ORDER_CAP}, got {spec.order}")
     atoms = _atoms(spec)
-    translate = _translator(spec.factors)
+    translate = _translator(spec)
     examined, exhausted = 0, False
     if mode == "exhaustive":
         examined = 1 << len(atoms)

@@ -3,7 +3,10 @@
 Subcommands wrap the library one-to-one and stay deterministic: identical
 flags produce byte-identical JSON and CSV. Exit codes: 0 success or verdict
 pass, 1 verdict fail, 2 usage or domain error, malformed input and files
-that cannot be read or written included.
+that cannot be read or written included. Each call builds only the
+subcommand parser that its first argument names: every command pays for the
+parsers it builds, and all nine cost about seven times as much as one. Help,
+no command and an unknown command get all nine, so their text is unchanged.
 """
 
 from __future__ import annotations
@@ -222,14 +225,7 @@ def _cmd_search_sumfree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flipforge",
-        description="Build, verify and tabulate flip-coloured graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct-br", help="two-colour Cayley construction for degrees (b, r)")
+def _configure_construct_br(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", help="graph JSON path ('-' for stdout)")
@@ -238,12 +234,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="print the verified profile")
     p.set_defaults(func=_cmd_construct_br)
 
-    p = sub.add_parser("verify", help="run the flip verifier on a graph JSON file")
+
+def _configure_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--sequence", help="expected degree sequence, e.g. 4,5")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("product", help="coloured strong or Cartesian product")
+
+def _configure_product(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=("strong", "cartesian"), required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
@@ -251,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot")
     p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("cayley", help="Cayley graph from colour classes")
+
+def _configure_cayley(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True, help="e.g. z:40 or z:2,28")
     p.add_argument("--class", dest="colour_class", action="append", required=True,
                    metavar="SPEC", help="colour=elem;elem;... (residues comma-separated)")
@@ -260,27 +259,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot")
     p.set_defaults(func=_cmd_cayley)
 
-    p = sub.add_parser("pack", help="pack two connecting-set JSON files into one Cayley graph")
+
+def _configure_pack(p: argparse.ArgumentParser) -> None:
     p.add_argument("--first", required=True)
     p.add_argument("--second", required=True)
     p.add_argument("--out")
     p.add_argument("--dot")
     p.set_defaults(func=_cmd_pack)
 
-    p = sub.add_parser("merge", help="merge colour classes of a graph")
+
+def _configure_merge(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--partition", required=True, help="parts separated by '|', e.g. 1,2|3")
     p.add_argument("--out")
     p.add_argument("--dot")
     p.set_defaults(func=_cmd_merge)
 
-    p = sub.add_parser("bounds", help="order-bound table rows for given b values")
+
+def _configure_bounds(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", required=True, help="comma-separated b values")
     p.add_argument("--format", default="csv")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("gaps-plan", help="plan the amplified construction and certify its chains")
+
+def _configure_gaps_plan(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--from-br", dest="from_br", help="b,r: build the two-colour prefix and use its profile")
@@ -292,18 +295,52 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gaps_plan)
 
-    p = sub.add_parser("search-sumfree", help="search sum-free inverse-closed subsets")
+
+def _configure_search_sumfree(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--mode", choices=("exhaustive", "greedy"), default="exhaustive")
     p.add_argument("--budget", type=int)
     p.set_defaults(func=_cmd_search_sumfree)
 
+
+# (name, help line, configure), in the order of the top-level usage and help.
+_COMMANDS = (
+    ("construct-br", "two-colour Cayley construction for degrees (b, r)", _configure_construct_br),
+    ("verify", "run the flip verifier on a graph JSON file", _configure_verify),
+    ("product", "coloured strong or Cartesian product", _configure_product),
+    ("cayley", "Cayley graph from colour classes", _configure_cayley),
+    ("pack", "pack two connecting-set JSON files into one Cayley graph", _configure_pack),
+    ("merge", "merge colour classes of a graph", _configure_merge),
+    ("bounds", "order-bound table rows for given b values", _configure_bounds),
+    ("gaps-plan", "plan the amplified construction and certify its chains", _configure_gaps_plan),
+    ("search-sumfree", "search sum-free inverse-closed subsets", _configure_search_sumfree),
+)
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The top-level parser with the subcommand ``argv[0]`` names, or with all
+    of them when ``argv[0]`` names none (help, usage errors, no command)."""
+    parser = argparse.ArgumentParser(
+        prog="flipforge",
+        description="Build, verify and tabulate flip-coloured graphs.",
+    )
+    named = [command for command in _COMMANDS if argv and command[0] == argv[0]]
+    if named:
+        # The usage of an 'unrecognized arguments' error still lists every choice.
+        choices = "{" + ",".join(name for name, _, _ in _COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    else:
+        # No metavar here: a 'required' error names the dest, 'command'.
+        named = _COMMANDS
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, configure in named:
+        configure(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -8,8 +8,6 @@ disjointness facts involving the involution n/2.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Optional
 
@@ -27,19 +25,30 @@ class GroupSubset:
     @staticmethod
     def of(spec: GroupSpec, items: Iterable[ElementLike]) -> "GroupSubset":
         spec.check_enumerable()  # the bitset takes |G| / 8 bytes
-        bits = 0
+        octets = bytearray((spec.order + 7) // 8)
         for x in items:
             index = 0
             for y, n in zip(spec.element(x), spec.factors):
                 index = index * n + y
-            bits |= 1 << index
-        return GroupSubset(spec, bits)
+            octets[index >> 3] |= 1 << (index & 7)
+        return GroupSubset(spec, int.from_bytes(octets, "little"))
 
     @property
     def elements(self) -> frozenset[GroupElement]:
-        """The members as residue tuples, decoded in one pass over the group."""
-        flags = map(int, reversed(bin(self.bits)[2:]))
-        return frozenset(itertools.compress(self.spec.elements(), flags))
+        """The members as residue tuples, decoded from the set bits alone."""
+        digits = bin(self.bits)[:1:-1]  # digits[i] is bit i
+        indices = []
+        index = digits.find("1")
+        while index >= 0:
+            indices.append(index)
+            index = digits.find("1", index + 1)
+        # Mixed radix, first factor most significant: one residue column per factor.
+        columns = []
+        inner = self.spec.order
+        for f in self.spec.factors:
+            inner //= f
+            columns.append([i // inner % f for i in indices])
+        return frozenset(zip(*columns))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -85,7 +94,7 @@ def _check_same_spec(a: GroupSubset, b: GroupSubset) -> None:
 def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
     """All pairwise sums x + y for x in a, y in b: a translated by each y."""
     _check_same_spec(a, b)
-    translate = _translator(a.spec.factors)
+    translate = _translator(a.spec)
     bits = 0
     for y in b.elements:
         bits |= translate(a.bits, y)
@@ -95,7 +104,7 @@ def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
 def inverses(a: GroupSubset) -> GroupSubset:
     """-S: reversing the |G| bits sends each residue y to f-1-y; adding 1 to each gives -y."""
     flipped = int(bin(a.bits)[2:].zfill(a.spec.order)[::-1], 2)
-    return GroupSubset(a.spec, _translator(a.spec.factors)(flipped, (1,) * len(a.spec.factors)))
+    return GroupSubset(a.spec, _translator(a.spec)(flipped, (1,) * len(a.spec.factors)))
 
 
 def is_sum_free(a: GroupSubset) -> bool:
@@ -107,7 +116,7 @@ def is_inverse_closed(a: GroupSubset) -> bool:
     return a == inverses(a)
 
 
-def _translator(factors: tuple[int, ...]) -> Callable[[int, GroupElement], int]:
+def _translator(spec: GroupSpec) -> Callable[[int, GroupElement], int]:
     """S + x on index bitsets: bit i of S stands for the i-th element in
     enumeration order, the mixed-radix numbering with the first factor most
     significant, so ``translate(1, x)`` is the bit of x.
@@ -115,16 +124,10 @@ def _translator(factors: tuple[int, ...]) -> Callable[[int, GroupElement], int]:
     Adding x rotates every block of each factor by that factor's residue y:
     ``((S & lo) << y*inner) | ((S & hi) >> (f-y)*inner)``. The low mask is
     the block pattern times the factor's repunit, one shift and one
-    subtraction; only the repunits are kept, so memory stays at one integer
-    per factor however many shifts a search uses.
+    subtraction; only the repunits are kept, one integer per factor on the
+    spec (``GroupSpec._blocks``), however many shifts and calls a group uses.
     """
-    order = math.prod(factors)
-    full = (1 << order) - 1
-    blocks = []
-    inner = order
-    for f in factors:
-        inner //= f
-        blocks.append((f, inner, full // ((1 << f * inner) - 1)))
+    blocks = spec._blocks
 
     def translate(bits: int, x: GroupElement) -> int:
         for y, (f, inner, repunit) in zip(x, blocks):

@@ -1,5 +1,6 @@
 """Command line interface: outputs, exit codes, file round trips."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -76,6 +77,73 @@ def test_construct_br_out_stdout(capsys):
     assert rc == 0
     graph = EdgeColouredGraph.from_json(out[: out.rindex("}") + 1])
     assert graph.vertex_count == 40
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, argparse's own exits included."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def argv_corpus(tmp_path):
+    """(argv, exit code): help, usage errors and one valid call per subcommand."""
+    graph = tmp_path / "c4.json"
+    graph.write_text(C4_JSON)
+    k2 = tmp_path / "k2.json"
+    k2.write_text(json.dumps({"vertices": 2, "colours": 2, "edges": [[0, 1, 1]]}))
+    blue, red = tmp_path / "blue.json", tmp_path / "red.json"
+    blue.write_text(json.dumps({"group": "z:40", "classes": {"1": [[9], [18], [22], [31]]}}))
+    red.write_text(json.dumps({"group": "z:40", "classes": {"2": [[6], [7], [20], [33], [34]]}}))
+    g, k2, blue, red = map(str, (graph, k2, blue, red))
+    return [
+        (["-h"], 0),
+        ([], 2),
+        (["bogus"], 2),
+        (["--bogus", "verify"], 2),
+        (["verify", "--help"], 0),
+        (["verify"], 2),
+        (["construct-br", "--b", "x", "--r", "5"], 2),
+        (["search-sumfree", "--group", "z:7", "--mode", "fast"], 2),
+        (["bounds", "--b", "4", "--extra"], 2),
+        (["construct-br", "--b", "4", "--r", "5", "--verify"], 0),
+        (["verify", "--in", g], 1),
+        (["product", "--kind", "cartesian", "--left", k2, "--right", k2], 0),
+        (["cayley", "--group", "z:7", "--class", "1=1;6", "--class", "2=2;5"], 0),
+        (["pack", "--first", blue, "--second", red], 0),
+        (["merge", "--in", g, "--partition", "1,2"], 0),
+        (["bounds", "--b", "4,5"], 0),
+        (["gaps-plan", "--q", "2", "--k", "40", "--prefix-e", "140,135",
+          "--prefix-deg", "42,135"], 0),
+        (["search-sumfree", "--group", "z:2,4"], 0),
+    ]
+
+
+def test_every_output_matches_the_parser_with_all_subcommands(tmp_path, capsys, monkeypatch):
+    """Building only the named subcommand changes no exit code and no byte of
+    stdout or stderr, help and argparse's usage errors included."""
+    corpus = argv_corpus(tmp_path)
+    got = [outcome(capsys, argv) for argv, _ in corpus]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+    full = [outcome(capsys, argv) for argv, _ in corpus]
+    for (argv, code), mine, reference in zip(corpus, got, full):
+        assert mine == reference, argv
+        assert mine[0] == code, argv
+
+
+@pytest.mark.parametrize("argv, built", [(["verify", "--in", "F"], 1), (["--help"], 9)])
+def test_main_builds_only_the_subcommand_argv_names(capsys, monkeypatch, argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw))
+    monkeypatch.setattr(sys, "argv", ["flipforge", *argv])
+    outcome(capsys, None)
+    assert len(names) == built
 
 
 def test_verify_round_trip(tmp_path, capsys):

@@ -108,6 +108,21 @@ def test_is_sum_free_allows_equal_summands():
     assert is_sum_free(GroupSubset.of(cyclic(8), []))
 
 
+@pytest.mark.parametrize("spec, members, sum_free", [
+    (cyclic(1000000), [1, 999999], True),
+    (GroupSpec((2, 500000)), [(1, 3), (0, 6)], False),  # (1,3) + (1,3) = (0,6)
+])
+def test_small_subset_of_a_large_group_never_lists_the_group(monkeypatch, spec, members, sum_free):
+    """Encoding, decoding and the sum-free test cost what the subset holds."""
+    def refuse(self):
+        raise AssertionError("the whole group was listed")
+
+    monkeypatch.setattr(GroupSpec, "elements", refuse)
+    s = GroupSubset.of(spec, members)
+    assert s.elements == {spec.element(x) for x in members}
+    assert is_sum_free(s) == sum_free
+
+
 def test_middle_third_is_sum_free():
     """The open middle third of Z_m, the pool the layer classes draw from."""
     for m in range(4, 40, 2):
@@ -283,6 +298,6 @@ def test_translate_is_residue_addition(case):
     spec, elements, members, x = case
     index = {e: i for i, e in enumerate(elements)}
     moved = {tuple((p + q) % n for p, q, n in zip(e, x, spec.factors)) for e in members}
-    translate = _translator(spec.factors)
+    translate = _translator(spec)
     assert translate(sum(1 << index[e] for e in members), x) == sum(1 << index[e] for e in moved)
     assert translate(1, x) == 1 << index[x]
