@@ -30,7 +30,6 @@ from .construct import (
     cayley_build,
     merge_connecting_sets,
     packing_delta,
-    product_vertex,
     strong_product,
 )
 from .ecgraph import EdgeColouredGraph, VertexColourProfile
@@ -104,7 +103,6 @@ __all__ = [
     "parse_group_text",
     "plan_br",
     "plan_gaps",
-    "product_vertex",
     "qk_bounds",
     "search_sumfree_inverse_closed",
     "strong_product",

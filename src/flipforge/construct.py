@@ -13,7 +13,7 @@ from typing import Mapping, Optional, Sequence
 
 from .ecgraph import Edge, EdgeColouredGraph
 from .group import ENUMERATION_LIMIT, GroupSpec, parse_group_text
-from .setalg import GroupSubset, is_inverse_closed, json_value, sumset
+from .setalg import GroupSubset, is_inverse_closed, sumset
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,6 @@ class ColouredConnectingSet:
         for _, subset in self.classes:
             out = out.union(subset)
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group": self.spec.to_text(),
-            "colour_count": self.colour_count,
-            "classes": {str(colour): json_value(subset) for colour, subset in self.classes},
-        }
 
     @staticmethod
     def from_json_dict(data: dict) -> "ColouredConnectingSet":
@@ -153,11 +146,6 @@ def merge_connecting_sets(
         first.spec, merged, max(first.colour_count, second.colour_count))
 
 
-def product_vertex(h: EdgeColouredGraph, u: int, v: int) -> int:
-    """Row-major index of the product vertex (u, v), v a vertex of the second factor h."""
-    return u * h.vertex_count + v
-
-
 def _cartesian_edges(g: EdgeColouredGraph, h: EdgeColouredGraph) -> list[Edge]:
     """Product edges that move exactly one coordinate, each with its factor's colour."""
     if g.colour_count != h.colour_count:
@@ -180,7 +168,8 @@ def _cartesian_edges(g: EdgeColouredGraph, h: EdgeColouredGraph) -> list[Edge]:
 
 
 def strong_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGraph:
-    """Strong product; moved-first-coordinate edges take the first factor's colour."""
+    """Strong product; moved-first-coordinate edges take the first factor's colour.
+    Vertex (u, v) is numbered row-major, u * h.vertex_count + v."""
     edges = _cartesian_edges(g, h)
     nh = h.vertex_count
     for u, u2, c in g.edges:
@@ -191,7 +180,8 @@ def strong_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGr
 
 
 def cartesian_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGraph:
-    """Cartesian product; edges move in exactly one coordinate."""
+    """Cartesian product; edges move in exactly one coordinate.
+    Vertex (u, v) is numbered row-major, u * h.vertex_count + v."""
     return EdgeColouredGraph(g.vertex_count * h.vertex_count, g.colour_count, _cartesian_edges(g, h))
 
 
@@ -217,10 +207,6 @@ class PackingDeltaReport:
     product_condition: bool
     dominance: bool
     flip_at_identity: bool
-
-    @property
-    def identity_holds(self) -> bool:
-        return self.delta_direct == self.delta_formula
 
 
 def packing_delta(spec: GroupSpec, blue: GroupSubset, red: GroupSubset) -> PackingDeltaReport:

@@ -210,16 +210,9 @@ class EdgeColouredGraph:
         if not (0 <= v < self.vertex_count):
             raise ValueError(f"vertex {v} outside 0..{self.vertex_count - 1}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": self.vertex_count,
-            "colours": self.colour_count,
-            "edges": [list(e) for e in self.edges],
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\\n"``,
-        byte for byte, written directly.
+        """{"colours": k, "edges": [[u, v, c], ...], "vertices": n}, byte for byte as
+        ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` lays it out, written directly.
 
         ``indent`` makes ``json.dumps`` fall back to its pure-Python encoder,
         which makes several calls per edge entry; formatting each edge row as

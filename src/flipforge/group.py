@@ -24,6 +24,7 @@ class GroupSpec:
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "factors", tuple(self.factors))  # a list is unhashable
         if not self.factors:
             raise ValueError("group needs at least one cyclic factor")
         for n in self.factors:

@@ -22,6 +22,10 @@ class GroupSubset:
     spec: GroupSpec
     bits: int
 
+    def __post_init__(self) -> None:
+        if self.bits < 0 or self.bits.bit_length() > self.spec.order:  # O(1), not O(|G|)
+            raise ValueError(f"subset bits must lie in 0 <= bits < 2**{self.spec.order}")
+
     @staticmethod
     def of(spec: GroupSpec, items: Iterable[ElementLike]) -> "GroupSubset":
         spec.check_enumerable()  # the bitset takes |G| / 8 bytes
@@ -152,10 +156,6 @@ class ResidueInterval:
             raise ValueError(f"modulus must be positive, got {self.n}")
         if not (0 <= self.lo <= self.hi < self.n):
             raise ValueError(f"interval needs 0 <= lo <= hi < n, got lo={self.lo} hi={self.hi} n={self.n}")
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
 
 
 def interval_elements(interval: ResidueInterval) -> GroupSubset:

@@ -355,7 +355,7 @@ def test_json_round_trip():
     text = C4_ALTERNATING.to_json()
     assert text == C4_ALTERNATING.to_json()  # deterministic bytes
     assert text.endswith("\n")
-    data = C4_ALTERNATING.to_json_dict()
+    data = json.loads(text)
     assert data["vertices"] == 4
     assert data["colours"] == 2
     assert data["edges"][0] == [0, 1, 1]
@@ -387,11 +387,19 @@ def json_graphs(draw):
     return EdgeColouredGraph(n, k, [(u, v, c) for (u, v), c in kept.items()])
 
 
+def indent_2_layout(g):
+    """The reference bytes for ``to_json``, built from the graph's public
+    fields alone and laid out by ``json.dumps``."""
+    data = {"vertices": g.vertex_count, "colours": g.colour_count,
+            "edges": [list(e) for e in g.edges]}
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(json_graphs())
 def test_to_json_is_the_indent_2_layout(g):
     text = g.to_json()
-    assert text == json.dumps(g.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert text == indent_2_layout(g)
     assert EdgeColouredGraph.from_json(text) == g
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from flipforge.group import GroupSpec, cyclic, format_elements, parse_group_text
+from flipforge.setalg import GroupSubset, sumset
 
 
 def test_order_and_identity():
@@ -22,6 +23,15 @@ def test_factor_validation():
         GroupSpec((1,))
     with pytest.raises(ValueError):
         GroupSpec((2, 0))
+
+
+def test_factors_given_as_a_list_are_kept_as_a_tuple():
+    listed, tupled = GroupSpec([2, 3]), GroupSpec((2, 3))
+    assert listed.factors == (2, 3)
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
+    subsets = GroupSubset.of(listed, [(1, 1)]), GroupSubset.of(tupled, [(0, 1)])
+    assert sumset(*subsets).elements == {(1, 2)}
 
 
 def test_element_coercion():

@@ -45,6 +45,18 @@ def test_subset_operations():
     assert GroupSubset.of(spec, [0]).contains_identity()
 
 
+def test_subset_bits_stay_inside_the_group():
+    spec = cyclic(5)
+    for bad in (1 << 5, -2):
+        with pytest.raises(ValueError, match=r"^subset bits must lie in 0 <= bits < 2\*\*5$"):
+            GroupSubset(spec, bad)
+    top = GroupSubset(spec, 1 << 4)
+    assert len(top) == 1
+    assert top.elements == {(4,)}
+    assert top == GroupSubset.of(spec, [4])
+    assert len(GroupSubset(spec, 0)) == 0
+
+
 def test_subset_spec_mismatch():
     a = GroupSubset.of(cyclic(8), [1])
     b = GroupSubset.of(cyclic(9), [1])
@@ -132,8 +144,6 @@ def test_middle_third_is_sum_free():
 
 
 def test_residue_interval_validation():
-    assert ResidueInterval(40, 6, 7).size == 2
-    assert ResidueInterval(8, 3, 3).size == 1
     with pytest.raises(ValueError):
         ResidueInterval(0, 0, 0)
     with pytest.raises(ValueError):
