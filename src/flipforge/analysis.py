@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .ecgraph import EdgeColouredGraph
-from .group import ENUMERATION_LIMIT, GroupSpec
+from .group import ENUMERATION_LIMIT, GroupSpec, _Record
 from .setalg import GroupSubset, _translator, json_value
 
 VIOLATION_JSON_CAP = 20
 
 
-@dataclass(frozen=True)
-class FlipReport:
+class FlipReport(_Record):
     """Verdict plus the evidence gathered while checking the flip conditions.
 
     e_chain is the shared closed-count vector when it is uniform across
@@ -44,7 +42,7 @@ class FlipReport:
         return None
 
     def to_json_dict(self) -> dict:
-        capped = replace(self, violations=self.violations[:VIOLATION_JSON_CAP])
+        capped = self.replace(violations=self.violations[:VIOLATION_JSON_CAP])
         return json_value(capped) | {"violation_count": len(self.violations)}
 
 
@@ -153,8 +151,7 @@ def qk_bounds(k: int) -> tuple[int, int]:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(_Record):
     b: int
     r: int
     old: Optional[int]
@@ -201,8 +198,7 @@ def bounds_to_csv(rows: Sequence[BoundRow]) -> str:
 EXHAUSTIVE_ORDER_CAP = 24
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Record):
     """Largest sum-free inverse-closed subset found, with search provenance."""
 
     subset: GroupSubset

@@ -24,11 +24,10 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .group import ENUMERATION_LIMIT
+from .group import ENUMERATION_LIMIT, _Record
 
 Edge = tuple[int, int, int]
 
@@ -48,8 +47,7 @@ DOT_PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class VertexColourProfile:
+class VertexColourProfile(_Record):
     vertex: int
     deg: tuple[int, ...]
     e_closed: tuple[int, ...]

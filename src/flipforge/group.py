@@ -8,7 +8,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 GroupElement = tuple[int, ...]
@@ -17,14 +16,84 @@ ElementLike = Union[int, Sequence[int]]
 ENUMERATION_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class _Record:
+    """Immutable value record, the base of every plan, report and value class.
+
+    A subclass's fields are its own annotations, in declaration order, and
+    that order is the JSON key order (``setalg.json_value``). Fields are set
+    by position or keyword, then ``__post_init__`` runs; equality and hash
+    follow the field tuple, and assignment or deletion raises. Instances keep
+    a ``__dict__``, so a ``functools.cached_property`` can store its value.
+    Unlike the ``dataclasses`` decorator, this costs no ``inspect`` import
+    and no generated source per class at import time.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)  # the class's own, in order
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if len(args) == len(fields) and not kwargs:
+            self.__dict__.update(zip(fields, args))
+        else:
+            self.__dict__.update(self._bind(args, kwargs))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> dict[str, object]:
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)} positional")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected field {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got field {key!r} twice")
+            values[key] = value
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing field(s): {', '.join(missing)}")
+        return values
+
+    def __post_init__(self) -> None:
+        """Checks and coercions run once the fields are set; none by default."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def replace(self, **changes: object) -> "_Record":
+        """A copy with the named fields changed, checked like a new record."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroupSpec(_Record):
     """Direct product of cyclic groups Z_{n1} x ... x Z_{nk}."""
 
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))  # a list is unhashable
+        self.__dict__["factors"] = tuple(self.factors)  # a list is unhashable
         if not self.factors:
             raise ValueError("group needs at least one cyclic factor")
         for n in self.factors:

@@ -12,7 +12,6 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
@@ -25,7 +24,7 @@ from .construct import (
     strong_product,
 )
 from .ecgraph import EdgeColouredGraph
-from .group import ENUMERATION_LIMIT, GroupSpec, cyclic
+from .group import ENUMERATION_LIMIT, GroupSpec, _Record, cyclic
 from .setalg import (
     GroupSubset,
     ResidueInterval,
@@ -45,8 +44,7 @@ class VerificationError(RuntimeError):
     """A built object failed its own post-construction audit."""
 
 
-@dataclass(frozen=True)
-class BrPlan:
+class BrPlan(_Record):
     """Fully resolved parameters of the two-colour construction for degrees (b, r).
 
     Colour 1 is the blue class of size b, colour 2 the red class of size r.
@@ -315,8 +313,7 @@ def _gaps_range_problem(k: int, q: int) -> str:
     return f"q < k/4 required, got q={q} k={k}" if 4 * q >= k else ""
 
 
-@dataclass(frozen=True)
-class GapsPlan:
+class GapsPlan(_Record):
     """Resolved parameters for the arbitrary-gaps amplification.
 
     prefix_e and prefix_deg are the exact closed counts and degrees of the
@@ -498,8 +495,7 @@ def plan_gaps(
     return _make_gaps_plan(q, k, prefix_e, prefix_deg, t_override, prefix_order, enforce=True)
 
 
-@dataclass(frozen=True)
-class GapsResult:
+class GapsResult(_Record):
     """Outcome of the amplification build: materialised graph or prediction."""
 
     plan: GapsPlan

@@ -8,14 +8,12 @@ disjointness facts involving the involution n/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Optional
 
-from .group import ElementLike, GroupElement, GroupSpec, cyclic, format_elements
+from .group import ElementLike, GroupElement, GroupSpec, _Record, cyclic, format_elements
 
 
-@dataclass(frozen=True)
-class GroupSubset:
+class GroupSubset(_Record):
     """Immutable subset of a fixed group: bit i of ``bits`` is the i-th element of
     ``spec.elements()``, so set operations are integer operations."""
 
@@ -70,9 +68,10 @@ class GroupSubset:
 
 
 def json_value(obj: object) -> object:
-    """The JSON form of a plan, report or value: a dataclass as {field name: value},
-    tuples and lists as lists, a GroupSpec as its text, a GroupSubset as its
-    sorted residue arrays. Anything else is returned as it is."""
+    """The JSON form of a plan, report or value: a record as {field name: value}
+    in field declaration order (properties are not fields, so they are left
+    out), tuples and lists as lists, a GroupSpec as its text, a GroupSubset as
+    its sorted residue arrays. Anything else is returned as it is."""
     return _json_value(obj)
 
 
@@ -85,8 +84,8 @@ def _json_value(obj: object) -> object:
         return format_elements(obj.elements)
     if isinstance(obj, GroupSpec):
         return obj.to_text()
-    if is_dataclass(obj):
-        return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, _Record):
+        return {f: _json_value(v) for f, v in zip(obj._fields, obj._values())}
     return obj
 
 
@@ -143,8 +142,7 @@ def _translator(spec: GroupSpec) -> Callable[[int, GroupElement], int]:
     return translate
 
 
-@dataclass(frozen=True)
-class ResidueInterval:
+class ResidueInterval(_Record):
     """Integer interval {lo, ..., hi} of residues mod n, 0 <= lo <= hi < n."""
 
     n: int
@@ -163,8 +161,7 @@ def interval_elements(interval: ResidueInterval) -> GroupSubset:
     return GroupSubset.of(spec, range(interval.lo, interval.hi + 1))
 
 
-@dataclass(frozen=True)
-class IntervalSumsetReport:
+class IntervalSumsetReport(_Record):
     """Outcome of the interval disjointness check.
 
     half_plus_b_avoids_a is None when the min(B1) >= 3n/16 hypothesis is not

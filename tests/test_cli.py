@@ -351,6 +351,27 @@ def test_cayley_class_over_huge_group_exits_2():
     assert proc.stderr == HUGE_GROUP_ERROR
 
 
+def test_cayley_over_edge_limit_exits_2():
+    """20,000,000 edges would not fit the child's 1 GiB, so the count is
+    checked before any edge is listed."""
+    classes = ";".join(str(x) for i in range(1, 21) for x in (i, -i))
+    proc = run_capped("cayley", "--group", "z:1000000", "--class", f"1={classes}")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: Cayley graph would have 20000000 edges, over the limit 1000000\n")
+
+
+def test_strong_product_over_edge_limit_exits_2(tmp_path):
+    k100 = EdgeColouredGraph(100, 1, [(u, v, 1) for u in range(100) for v in range(u + 1, 100)])
+    path = tmp_path / "k100.json"
+    path.write_text(k100.to_json())
+    proc = run_capped("product", "--kind", "strong", "--left", str(path), "--right", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: product would have 49995000 edges, over the limit 1000000\n"
+
+
 def test_pack_classes_over_huge_group_exits_2(tmp_path):
     for name, colour, x in (("first", "1", 1), ("second", "2", 2)):
         (tmp_path / f"{name}.json").write_text(json.dumps(

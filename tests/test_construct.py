@@ -1,6 +1,7 @@
 """Cayley builds, graph products, packing arithmetic, matching amplifiers."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from flipforge.analysis import verify_flip
 from flipforge.construct import (
+    EDGE_LIMIT,
     ColouredConnectingSet,
     bipartite_matching_graph,
     cartesian_product,
@@ -144,6 +146,45 @@ def test_cayley_build_limit():
     big = GroupSpec((1001, 1000))
     with pytest.raises(ValueError, match="exceeds enumeration limit"):
         cayley_build(ColouredConnectingSet.of(big, {1: GroupSubset.of(big, [(0, 1), (0, 999)])}))
+
+
+def refused_before_listing(build, *args):
+    """The ValueError ``build`` raises, checking that it allocated next to
+    nothing first: no edge list was started."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    return str(info.value)
+
+
+def test_cayley_build_edge_limit():
+    """|G| |S| / 2 edges: 10^6 * 40 / 2 in z:1000000, over the limit."""
+    big = cyclic(10**6)
+    members = [x for i in range(1, 21) for x in (i, -i)]
+    ccs = ColouredConnectingSet.of(big, {1: GroupSubset.of(big, members[:20]),
+                                         2: GroupSubset.of(big, members[20:])})
+    assert refused_before_listing(cayley_build, ccs) == (
+        f"Cayley graph would have 20000000 edges, over the limit {EDGE_LIMIT}")
+
+
+def complete_graph(n):
+    return EdgeColouredGraph(n, 1, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
+
+
+@pytest.mark.parametrize("product, left, right, edges", [
+    # |E_G| |H| + |E_H| |G| = 4950 * 101 + 5050 * 100, just over the limit
+    (cartesian_product, 100, 101, 1_004_950),
+    # the Cartesian 990,000 fit, and 2 |E_G| |E_H| diagonal edges do not
+    (strong_product, 100, 100, 990_000 + 2 * 4950 * 4950),
+])
+def test_product_edge_limit(product, left, right, edges):
+    message = refused_before_listing(product, complete_graph(left), complete_graph(right))
+    assert message == f"product would have {edges} edges, over the limit {EDGE_LIMIT}"
 
 
 def cayley_edges_by_group_law(ccs):

@@ -1,6 +1,9 @@
 """The package namespace: flipforge.__all__ lists exactly what __init__ imports."""
 
 import ast
+import os
+import subprocess
+import sys
 
 import flipforge
 
@@ -26,3 +29,16 @@ def test_all_lists_every_public_import():
     imported = _imported_public_names()
     assert len(imported) == len(set(imported))
     assert set(imported) == set(flipforge.__all__)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Records need no generated methods, so start-up skips both modules. A
+    child process is needed, because pytest itself imports inspect."""
+    child = ("import sys, flipforge, flipforge.cli\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(flipforge.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

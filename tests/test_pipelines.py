@@ -1,6 +1,5 @@
 """End-to-end construction pipelines: two-colour builds, layers, amplification."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -149,7 +148,7 @@ def test_build_br_e2_above_small_range():
 
 def test_build_br_rejects_tampered_plan():
     plan = plan_br(4, 5)
-    bad = dataclasses.replace(plan, blue_set=plan.red_set, red_set=plan.blue_set)
+    bad = plan.replace(blue_set=plan.red_set, red_set=plan.blue_set)
     with pytest.raises((ValueError, VerificationError)):
         build_br(bad)
 
