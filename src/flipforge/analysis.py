@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .ecgraph import EdgeColouredGraph
-from .group import ENUMERATION_LIMIT, GroupSpec, _Record
+from .group import ENUMERATION_LIMIT, GroupElement, GroupSpec, _Record
 from .setalg import GroupSubset, _translator, json_value
+
+__all__ = ["BoundRow", "FlipReport", "SearchResult", "bounds_table", "bounds_to_csv",
+           "check_br_range", "new_bound", "new_bound_cap", "old_bound", "parity_factor",
+           "qk_bounds", "search_sumfree_inverse_closed", "verify_flip"]
 
 VIOLATION_JSON_CAP = 20
 
@@ -209,16 +213,16 @@ class SearchResult(_Record):
     examined: int
 
 
-def _atoms(spec: GroupSpec) -> list[tuple]:
-    """Inverse-closed building blocks {x, -x}, involutions as singletons."""
-    atoms = []
-    seen = {spec.identity}
-    for x in spec.elements():
-        if x not in seen:
-            neg = spec.neg(x)
-            seen.update((x, neg))
-            atoms.append((x,) if neg == x else (x, neg))
-    return atoms
+def _atoms(spec: GroupSpec) -> Iterator[tuple[GroupElement, int]]:
+    """Inverse-closed building blocks {x, -x} as (x, index bitset), in element
+    order, involutions as singletons and the identity left out. x is the i-th
+    element and -x the j-th; each atom is listed once, at its first element."""
+    for i, x in enumerate(spec.elements()):
+        j = 0
+        for y, f in zip(x, spec.factors):
+            j = j * f + -y % f
+        if 0 < i <= j:
+            yield x, 1 << i | 1 << j
 
 
 def search_sumfree_inverse_closed(
@@ -251,16 +255,17 @@ def search_sumfree_inverse_closed(
     if mode == "exhaustive" and spec.order > EXHAUSTIVE_ORDER_CAP:
         raise ValueError(
             f"exhaustive mode needs group order <= {EXHAUSTIVE_ORDER_CAP}, got {spec.order}")
-    atoms = _atoms(spec)
+    spec.check_enumerable()  # before the translator's |G|-bit masks
     translate = _translator(spec)
     examined, exhausted = 0, False
     if mode == "exhaustive":
+        atoms = list(_atoms(spec))
         examined = 1 << len(atoms)
         if budget is not None and budget < examined:
             raise ValueError(
                 f"exhaustive search budget {budget} exceeded after {max(budget, 0)} candidates")
-        atom_bits = [GroupSubset.of(spec, atom).bits for atom in atoms]
-        room = list(itertools.accumulate(map(len, atoms), initial=0))
+        sizes = [bits.bit_count() for _, bits in atoms]
+        room = list(itertools.accumulate(sizes, initial=0))
         best = [0, 0]  # bitset, size
 
         def leave_or_take(i: int, s: int, size: int) -> None:
@@ -272,21 +277,22 @@ def search_sumfree_inverse_closed(
                 return
             i -= 1
             leave_or_take(i, s, size)
-            t = s | atom_bits[i]
-            if not translate(t, atoms[i][0]) & t:  # t is sum-free: see the docstring
-                leave_or_take(i, t, size + len(atoms[i]))
+            x, bits = atoms[i]
+            t = s | bits
+            if not translate(t, x) & t:  # t is sum-free: see the docstring
+                leave_or_take(i, t, size + sizes[i])
 
         leave_or_take(len(atoms), 0, 0)
         s = best[0]
     else:
         s = 0
-        for atom in atoms:
+        for x, bits in _atoms(spec):
             if budget is not None and examined >= budget:
                 exhausted = True
                 break
             examined += 1
-            t = s | GroupSubset.of(spec, atom).bits
-            if not translate(t, atom[0]) & t:
+            t = s | bits
+            if not translate(t, x) & t:
                 s = t
     subset = GroupSubset(spec, s)
     return SearchResult(

@@ -14,6 +14,10 @@ from .ecgraph import Edge, EdgeColouredGraph
 from .group import ENUMERATION_LIMIT, GroupSpec, _Record, parse_group_text
 from .setalg import GroupSubset, is_inverse_closed, sumset
 
+__all__ = ["ColouredConnectingSet", "PackingDeltaReport", "bipartite_matching_graph",
+           "cartesian_product", "cayley_build", "merge_connecting_sets", "packing_delta",
+           "strong_product"]
+
 # Most edges a builder lists. Building costs about 1.2-2 us and 130-280 bytes
 # of peak memory per edge (Cayley graphs and strong products, CPython 3.11),
 # so the largest allowed graph builds in about 2 s and under 300 MB. Each
@@ -269,6 +273,7 @@ def bipartite_matching_graph(colour_count: int, assignments: Sequence[int]) -> E
     p = len(assignments)
     if p < 1:
         raise ValueError("need at least one matching assignment")
+    _check_edge_count(p * p, "matching graph")
     edges = []
     for d, colour in enumerate(assignments):
         for i in range(p):

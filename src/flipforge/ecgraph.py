@@ -29,6 +29,8 @@ from typing import Iterable, Iterator
 
 from .group import ENUMERATION_LIMIT, _Record
 
+__all__ = ["EdgeColouredGraph", "VertexColourProfile"]
+
 Edge = tuple[int, int, int]
 
 # The interpreter's storage sizes that pick the open-count kernel (see

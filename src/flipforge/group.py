@@ -10,6 +10,8 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence, Union
 
+__all__ = ["GroupSpec", "cyclic", "parse_group_text"]
+
 GroupElement = tuple[int, ...]
 ElementLike = Union[int, Sequence[int]]
 

@@ -37,6 +37,9 @@ from .setalg import (
     sumset,
 )
 
+__all__ = ["DEFAULT_MATERIALIZE_LIMIT", "BrPlan", "GapsPlan", "GapsResult", "VerificationError",
+           "build_br", "build_gaps", "build_sumfree_layer", "colour_merge", "plan_br", "plan_gaps"]
+
 DEFAULT_MATERIALIZE_LIMIT = 200_000
 
 

@@ -12,6 +12,9 @@ from typing import Callable, Iterable, Optional
 
 from .group import ElementLike, GroupElement, GroupSpec, _Record, cyclic, format_elements
 
+__all__ = ["GroupSubset", "IntervalSumsetReport", "ResidueInterval", "interval_sumset_check",
+           "inverses", "is_inverse_closed", "is_sum_free", "json_value", "sumset"]
+
 
 class GroupSubset(_Record):
     """Immutable subset of a fixed group: bit i of ``bits`` is the i-th element of

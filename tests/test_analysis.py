@@ -377,6 +377,31 @@ def test_search_greedy_matches_the_residue_loop(budget):
             reference_greedy(spec, budget), spec
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_search_encodes_no_atom_through_a_subset(monkeypatch, mode):
+    """Each atom's bits come from its element indices in the enumeration, so
+    the search builds no per-atom GroupSubset."""
+    groups = [GroupSpec((2, 12)), cyclic(23)]
+    expected = [search_sumfree_inverse_closed(spec, mode=mode) for spec in groups]
+
+    def refuse(spec, items):
+        raise AssertionError("an atom was encoded through GroupSubset.of")
+
+    monkeypatch.setattr(GroupSubset, "of", staticmethod(refuse))
+    assert [search_sumfree_inverse_closed(spec, mode=mode) for spec in groups] == expected
+
+
+def test_search_greedy_checks_the_order_before_its_masks(monkeypatch):
+    """Greedy mode has no order cap, so the enumeration limit is checked before
+    the translator builds its |G|-bit masks."""
+    def refuse(spec):
+        raise AssertionError("translator built for a group over the enumeration limit")
+
+    monkeypatch.setattr(analysis, "_translator", refuse)
+    with pytest.raises(ValueError, match="exceeds enumeration limit"):
+        search_sumfree_inverse_closed(cyclic(10**6 + 1), mode="greedy")
+
+
 def test_search_greedy_z3000_by_modular_arithmetic():
     n = 3000
     result = search_sumfree_inverse_closed(cyclic(n), mode="greedy")

@@ -187,6 +187,12 @@ def test_product_edge_limit(product, left, right, edges):
     assert message == f"product would have {edges} edges, over the limit {EDGE_LIMIT}"
 
 
+def test_matching_graph_edge_limit():
+    """p^2 edges for p assignments: 1001 assignments are over the limit."""
+    assert refused_before_listing(bipartite_matching_graph, 2, [1, 2] * 500 + [1]) == (
+        f"matching graph would have 1002001 edges, over the limit {EDGE_LIMIT}")
+
+
 def cayley_edges_by_group_law(ccs):
     """Oracle: the edge tuple from an element-index dict and one group
     addition per edge, deduplicated in a set."""

@@ -1,19 +1,15 @@
-"""The package namespace: flipforge.__all__ lists exactly what __init__ imports."""
+"""The package namespace: flipforge.__all__ is the union of its modules' __all__."""
 
-import ast
+import inspect
 import os
 import subprocess
 import sys
 
 import flipforge
+from flipforge import analysis, construct, ecgraph, group, pipelines, setalg
 
-
-def _imported_public_names():
-    with open(flipforge.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    return [alias.asname or alias.name
-            for node in tree.body if isinstance(node, ast.ImportFrom)
-            for alias in node.names if not (alias.asname or alias.name).startswith("_")]
+SRC = os.path.dirname(os.path.dirname(flipforge.__file__))
+MODULES = [analysis, construct, ecgraph, group, pipelines, setalg]
 
 
 def test_all_names_resolve():
@@ -25,10 +21,31 @@ def test_all_is_sorted_without_duplicates():
     assert flipforge.__all__ == sorted(set(flipforge.__all__))
 
 
-def test_all_lists_every_public_import():
-    imported = _imported_public_names()
-    assert len(imported) == len(set(imported))
-    assert set(imported) == set(flipforge.__all__)
+def test_all_is_the_union_of_the_module_lists():
+    exported = [name for module in MODULES for name in module.__all__]
+    assert len(exported) == len(set(exported))
+    assert flipforge.__all__ == sorted(exported)
+
+
+def test_each_module_lists_only_what_it_defines():
+    """An imported class or function listed in the wrong module's __all__ would
+    be exported from there too."""
+    for module in MODULES:
+        for name in module.__all__:
+            value = getattr(module, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == module.__name__, (module.__name__, name)
+
+
+def test_star_import_binds_exactly_all():
+    """A child interpreter, so that nothing else is already in the namespace."""
+    child = ("from flipforge import *\n"
+             "print(sorted(k for k in dir() if not k.startswith('__')))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{flipforge.__all__}\n"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -36,9 +53,8 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     child process is needed, because pytest itself imports inspect."""
     child = ("import sys, flipforge, flipforge.cli\n"
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
-    src = os.path.dirname(os.path.dirname(flipforge.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src})
+        env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
