@@ -8,26 +8,15 @@ diagonal pairs where both coordinates move).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .ecgraph import Edge, EdgeColouredGraph
+from .ecgraph import Edge, EdgeColouredGraph, _check_edge_count
 from .group import ENUMERATION_LIMIT, GroupSpec, _Record, parse_group_text
 from .setalg import GroupSubset, is_inverse_closed, sumset
 
 __all__ = ["ColouredConnectingSet", "PackingDeltaReport", "bipartite_matching_graph",
            "cartesian_product", "cayley_build", "merge_connecting_sets", "packing_delta",
            "strong_product"]
-
-# Most edges a builder lists. Building costs about 1.2-2 us and 130-280 bytes
-# of peak memory per edge (Cayley graphs and strong products, CPython 3.11),
-# so the largest allowed graph builds in about 2 s and under 300 MB. Each
-# builder checks its closed-form edge count before it lists any edge.
-EDGE_LIMIT = 10**6
-
-
-def _check_edge_count(count: int, what: str) -> None:
-    if count > EDGE_LIMIT:
-        raise ValueError(f"{what} would have {count} edges, over the limit {EDGE_LIMIT}")
 
 
 class ColouredConnectingSet(_Record):
@@ -119,8 +108,9 @@ def cayley_build(ccs: ColouredConnectingSet) -> EdgeColouredGraph:
 
     Vertex i is the i-th element in enumeration order, that is the element's
     mixed-radix value with the first factor most significant, so g + s is one
-    table look-up. Each edge is emitted once from each of its ends, and the
-    graph constructor keeps one copy.
+    table look-up. The graph constructor gets each edge once: of each inverse
+    pair {s, -s} only the smaller is translated, since g + s = h is g = h - s,
+    and an involution s = -s joins g to g + s only where g < g + s.
     """
     spec = ccs.spec
     spec.check_enumerable()
@@ -128,14 +118,23 @@ def cayley_build(ccs: ColouredConnectingSet) -> EdgeColouredGraph:
     # so every vertex has degree |S|.
     degree = sum(len(subset) for _, subset in ccs.classes)
     _check_edge_count(spec.order * degree // 2, "Cayley graph")
+    return EdgeColouredGraph(spec.order, ccs.colour_count, _cayley_edges(ccs))
+
+
+def _cayley_edges(ccs: ColouredConnectingSet) -> Iterator[Edge]:
+    spec = ccs.spec
     # One int object per vertex, shared by every edge that touches it.
     vertices = list(range(spec.order))
-    edges = (
-        (u, vertices[w], colour)
-        for colour, subset in ccs.classes
-        for s in subset.elements
-        for u, w in zip(vertices, _translation_table(spec.factors, s)))
-    return EdgeColouredGraph(spec.order, ccs.colour_count, edges)
+    for colour, subset in ccs.classes:
+        for s in subset.elements:
+            minus_s = spec.neg(s)
+            if s > minus_s:
+                continue
+            ends = zip(vertices, _translation_table(spec.factors, s))
+            if s == minus_s:
+                ends = [(u, w) for u, w in ends if u < w]
+            for u, w in ends:
+                yield u, vertices[w], colour
 
 
 def merge_connecting_sets(
@@ -163,9 +162,13 @@ def merge_connecting_sets(
         first.spec, merged, max(first.colour_count, second.colour_count))
 
 
-def _cartesian_edges(g: EdgeColouredGraph, h: EdgeColouredGraph, diagonal_edges: int = 0) -> list[Edge]:
+def _cartesian_edges(g: EdgeColouredGraph, h: EdgeColouredGraph,
+                     diagonal_edges: int = 0) -> tuple[list[list[int]], list[Edge]]:
     """Product edges that move exactly one coordinate, each with its factor's colour.
-    The edge limit is checked for these plus the caller's ``diagonal_edges``."""
+    The edge limit is checked for these plus the caller's ``diagonal_edges``.
+
+    Returns the vertex rows with the edges: vertex (u, v) is ``rows[u][v]``,
+    one int object per vertex shared by every edge that touches it."""
     if g.colour_count != h.colour_count:
         raise ValueError(
             f"factors must share a colour count, got {g.colour_count} and {h.colour_count}")
@@ -174,34 +177,37 @@ def _cartesian_edges(g: EdgeColouredGraph, h: EdgeColouredGraph, diagonal_edges:
     if order > ENUMERATION_LIMIT:
         raise ValueError(
             f"product vertex count {order} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    _check_edge_count(len(g.edges) * nh + len(h.edges) * g.vertex_count + diagonal_edges, "product")
+    _check_edge_count(g._edge_count() * nh + h._edge_count() * g.vertex_count + diagonal_edges,
+                      "product")
+    vertices = list(range(order))
+    rows = [vertices[u * nh:(u + 1) * nh] for u in range(g.vertex_count)]
     edges = []
-    for u in range(g.vertex_count):
-        base = u * nh
+    for row in rows:
         for v, v2, c in h.edges:
-            edges.append((base + v, base + v2, c))
+            edges.append((row[v], row[v2], c))
     for u, u2, c in g.edges:
-        for v in range(nh):
-            edges.append((u * nh + v, u2 * nh + v, c))
-    return edges
+        for a, b in zip(rows[u], rows[u2]):
+            edges.append((a, b, c))
+    return rows, edges
 
 
 def strong_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGraph:
     """Strong product; moved-first-coordinate edges take the first factor's colour.
     Vertex (u, v) is numbered row-major, u * h.vertex_count + v."""
-    edges = _cartesian_edges(g, h, 2 * len(g.edges) * len(h.edges))
-    nh = h.vertex_count
+    rows, edges = _cartesian_edges(g, h, 2 * g._edge_count() * h._edge_count())
     for u, u2, c in g.edges:
+        row, row2 = rows[u], rows[u2]
         for v, v2, _ in h.edges:
-            edges.append((u * nh + v, u2 * nh + v2, c))
-            edges.append((u * nh + v2, u2 * nh + v, c))
-    return EdgeColouredGraph(g.vertex_count * nh, g.colour_count, edges)
+            edges.append((row[v], row2[v2], c))
+            edges.append((row[v2], row2[v], c))
+    return EdgeColouredGraph(g.vertex_count * h.vertex_count, g.colour_count, edges)
 
 
 def cartesian_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGraph:
     """Cartesian product; edges move in exactly one coordinate.
     Vertex (u, v) is numbered row-major, u * h.vertex_count + v."""
-    return EdgeColouredGraph(g.vertex_count * h.vertex_count, g.colour_count, _cartesian_edges(g, h))
+    return EdgeColouredGraph(g.vertex_count * h.vertex_count, g.colour_count,
+                             _cartesian_edges(g, h)[1])
 
 
 class PackingDeltaReport(_Record):

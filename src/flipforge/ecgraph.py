@@ -17,6 +17,11 @@ counts before any row is built, is no larger than the dicts they replace
 vertex of a graph is profiled, and its counts are cached on the graph.
 ``profile_by_edge_scan`` never reads that cache; it is the independent
 oracle the pass is checked against.
+
+A graph keeps one {neighbour: colour} dict per vertex. Its sorted edge tuple
+``edges`` is built from those dicts the first time it is read, and cached;
+profiling, verification and the edge counts that size checks use never read
+it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,19 @@ from .group import ENUMERATION_LIMIT, _Record
 __all__ = ["EdgeColouredGraph", "VertexColourProfile"]
 
 Edge = tuple[int, int, int]
+
+# Most edges a builder lists or a graph file holds. Building costs about
+# 1.2-2 us and 130-280 bytes of peak memory per edge (Cayley graphs and strong
+# products, CPython 3.11), so the largest allowed graph builds in about 2 s
+# and under 300 MB. Each builder checks its closed-form edge count before it
+# lists any edge, and a graph file its row count before it converts any row.
+EDGE_LIMIT = 10**6
+
+
+def _check_edge_count(count: int, what: str) -> None:
+    if count > EDGE_LIMIT:
+        raise ValueError(f"{what} would have {count} edges, over the limit {EDGE_LIMIT}")
+
 
 # The interpreter's storage sizes that pick the open-count kernel (see
 # EdgeColouredGraph._count_open): int digits, and a dict entry's hash, key
@@ -59,7 +77,7 @@ class VertexColourProfile(_Record):
 class EdgeColouredGraph:
     """Immutable simple graph whose edges each carry one colour in 1..k."""
 
-    __slots__ = ("vertex_count", "colour_count", "edges", "_adj", "_open")
+    __slots__ = ("vertex_count", "colour_count", "_edges", "_adj", "_open")
 
     def __init__(self, vertex_count: int, colour_count: int, edges: Iterable[Edge]):
         if vertex_count < 0:
@@ -82,11 +100,11 @@ class EdgeColouredGraph:
         for item in edges:
             u, v, c = item
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge endpoint out of range: {item}")
+                raise ValueError(f"edge endpoint out of range: {tuple(item)}")
             if u == v:
-                raise ValueError(f"loop edges are not allowed: {item}")
+                raise ValueError(f"loop edges are not allowed: {tuple(item)}")
             if not (1 <= c <= colour_count):
-                raise ValueError(f"colour {c} outside 1..{colour_count}: {item}")
+                raise ValueError(f"colour {c} outside 1..{colour_count}: {tuple(item)}")
             seen = adj[u].setdefault(v, c)
             if seen != c:
                 key = (u, v) if u < v else (v, u)
@@ -94,9 +112,22 @@ class EdgeColouredGraph:
             adj[v][u] = c
         self.vertex_count = vertex_count
         self.colour_count = colour_count
-        self.edges = tuple((u, v, nbrs[v]) for u, nbrs in enumerate(adj)
-                           for v in sorted(nbrs) if v > u)
         self._adj = tuple(adj)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge once as (u, v, colour) with u < v, sorted; built on first read."""
+        try:
+            return self._edges
+        except AttributeError:
+            edges = tuple((u, v, nbrs[v]) for u, nbrs in enumerate(self._adj)
+                          for v in sorted(nbrs) if v > u)
+            object.__setattr__(self, "_edges", edges)
+            return edges
+
+    def _edge_count(self) -> int:
+        """len(edges), from the adjacency sizes, without building the edges."""
+        return sum(map(len, self._adj)) // 2
 
     def __setattr__(self, name, value):
         if hasattr(self, "_adj"):
@@ -106,12 +137,12 @@ class EdgeColouredGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeColouredGraph):
             return NotImplemented
-        return (self.vertex_count, self.colour_count, self.edges) == (
-            other.vertex_count, other.colour_count, other.edges)
+        return (self.vertex_count, self.colour_count, self._adj) == (
+            other.vertex_count, other.colour_count, other._adj)
 
     def __repr__(self) -> str:
         return (f"EdgeColouredGraph(vertices={self.vertex_count}, "
-                f"colours={self.colour_count}, edges={len(self.edges)})")
+                f"colours={self.colour_count}, edges={self._edge_count()})")
 
     def closed_neighbourhood(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
@@ -178,7 +209,7 @@ class EdgeColouredGraph:
         rank = [0] * n
         for r, v in enumerate(order):
             rank[v] = r
-        if n * (n - 1) * _DIGIT_BYTES <= 2 * _DIGIT_BITS * _DICT_ENTRY_BYTES * len(self.edges):
+        if n * (n - 1) * _DIGIT_BYTES <= 2 * _DIGIT_BITS * _DICT_ENTRY_BYTES * self._edge_count():
             counts = _open_by_bitsets(adj, order, rank, self.colour_count)
         else:
             counts = _open_by_dicts(adj, rank, self.colour_count)
@@ -228,10 +259,18 @@ class EdgeColouredGraph:
 
     @staticmethod
     def from_json_dict(data: dict) -> "EdgeColouredGraph":
+        """The graph of a parsed graph file. The edge rows are counted against
+        ``EDGE_LIMIT`` before any is read, and a list of list rows goes to the
+        constructor as it is."""
         try:
             vertices = data["vertices"]
             colours = data["colours"]
-            edges = [tuple(e) for e in data["edges"]]
+            edges = data["edges"]
+            if type(edges) is list:
+                _check_edge_count(len(edges), "graph JSON")
+            if type(edges) is not list or not set(map(type, edges)) <= {list}:
+                # Rows of other types are read as tuples, which names them as before.
+                edges = [tuple(e) for e in edges]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph JSON: {exc}") from None
         if type(vertices) is not int or type(colours) is not int:
@@ -242,7 +281,7 @@ class EdgeColouredGraph:
             # Some row is bad: scan in order to name the first one.
             for e in edges:
                 if len(e) != 3 or any(type(x) is not int for x in e):
-                    raise ValueError(f"malformed edge entry {e!r}")
+                    raise ValueError(f"malformed edge entry {tuple(e)!r}")
         return EdgeColouredGraph(vertices, colours, edges)
 
     @staticmethod

@@ -23,7 +23,8 @@ class _Record:
 
     A subclass's fields are its own annotations, in declaration order, and
     that order is the JSON key order (``setalg.json_value``). Fields are set
-    by position or keyword, then ``__post_init__`` runs; equality and hash
+    by position or keyword, then ``__post_init__`` runs in a class that
+    defines or inherits one (its checks and coercions); equality and hash
     follow the field tuple, and assignment or deletion raises. Instances keep
     a ``__dict__``, so a ``functools.cached_property`` can store its value.
     Unlike the ``dataclasses`` decorator, this costs no ``inspect`` import
@@ -34,15 +35,20 @@ class _Record:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls._fields = tuple(cls.__annotations__)  # the class's own, in order
+        fields = cls._fields = tuple(cls.__annotations__)  # the class's own, in order
+        post_init = getattr(cls, "__post_init__", None)
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        fields = self._fields
-        if len(args) == len(fields) and not kwargs:
-            self.__dict__.update(zip(fields, args))
-        else:
-            self.__dict__.update(self._bind(args, kwargs))
-        self.__post_init__()
+        # One __init__ per class, with its fields and its __post_init__ (or
+        # none, so no call) bound in the closure rather than looked up.
+        def __init__(self: _Record, *args: object, **kwargs: object) -> None:
+            if len(args) == len(fields) and not kwargs:
+                self.__dict__.update(zip(fields, args))
+            else:
+                self.__dict__.update(self._bind(args, kwargs))
+            if post_init is not None:
+                post_init(self)
+
+        cls.__init__ = __init__  # type: ignore[method-assign]
 
     def _bind(self, args: tuple, kwargs: dict) -> dict[str, object]:
         name, fields = type(self).__qualname__, self._fields
@@ -59,9 +65,6 @@ class _Record:
         if missing:
             raise TypeError(f"{name}() missing field(s): {', '.join(missing)}")
         return values
-
-    def __post_init__(self) -> None:
-        """Checks and coercions run once the fields are set; none by default."""
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -105,10 +108,6 @@ class GroupSpec(_Record):
     @property
     def order(self) -> int:
         return math.prod(self.factors)
-
-    @property
-    def identity(self) -> GroupElement:
-        return (0,) * len(self.factors)
 
     def element(self, value: ElementLike) -> GroupElement:
         """Coerce an int (single factor only) or residue sequence, reducing mod factors."""

@@ -74,7 +74,7 @@ def random_coloured_graph(rng, max_vertices=8, max_colours=3):
 
 def symmetric_subset(rng, spec, max_pairs=4):
     members = set()
-    pool = [x for x in spec.elements() if x != spec.identity]
+    pool = [x for x in spec.elements() if x != (0,) * len(spec.factors)]
     for _ in range(rng.randint(1, max_pairs)):
         x = rng.choice(pool)
         members.add(x)

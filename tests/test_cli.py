@@ -189,6 +189,36 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
     assert err == f"error: JSON in {deep} is nested too deeply\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in", "{path}"],
+    ["product", "--kind", "strong", "--left", "{path}", "--right", "{path}"],
+    ["merge", "--in", "{path}", "--partition", "1,2"],
+], ids=["verify", "product", "merge"])
+def test_graph_file_over_edge_limit_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(flipforge.ecgraph, "EDGE_LIMIT", 3)
+    path = tmp_path / "c4.json"
+    path.write_text(C4_JSON)
+    rc, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert (rc, out) == (2, "")
+    assert err == "error: graph JSON would have 4 edges, over the limit 3\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ([0, 9, 1], "edge endpoint out of range: (0, 9, 1)"),
+    ([2, 2, 1], "loop edges are not allowed: (2, 2, 1)"),
+    ([0, 2, 3], "colour 3 outside 1..2: (0, 2, 3)"),
+    ([0, 1, 2], "vertex pair (0, 1) carries two colours: 1 and 2"),
+    ([0, 2], "malformed edge entry (0, 2)"),
+    (7, "malformed graph JSON: 'int' object is not iterable"),
+])
+def test_bad_graph_file_stderr(tmp_path, capsys, row, message):
+    data = json.loads(C4_JSON)
+    data["edges"].append(row)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "verify", "--in", str(path))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
 def test_bounds_over_row_limit_exits_2(capsys):
     rc, out, err = run(capsys, "bounds", "--b", "20000")
     assert (rc, out) == (2, "")
@@ -641,7 +671,7 @@ def connecting_set_files(draw):
     spec = parse_group_text(text)
     owner = {}
     for x in spec.elements():
-        if x != spec.identity:
+        if x != (0,) * len(spec.factors):
             owner.setdefault(min(x, spec.neg(x)), draw(st.integers(0, 4)))
     texts = []
     for colours in ((1, 2), (3, 4)):

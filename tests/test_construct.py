@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flipforge import construct
 from flipforge.analysis import verify_flip
 from flipforge.construct import (
-    EDGE_LIMIT,
     ColouredConnectingSet,
     bipartite_matching_graph,
     cartesian_product,
@@ -18,8 +18,8 @@ from flipforge.construct import (
     packing_delta,
     strong_product,
 )
-from flipforge.ecgraph import EdgeColouredGraph
-from flipforge.group import GroupSpec, cyclic
+from flipforge.ecgraph import EDGE_LIMIT, EdgeColouredGraph
+from flipforge.group import GroupSpec, cyclic, parse_group_text
 from flipforge.pipelines import _layer_classes
 from flipforge.setalg import GroupSubset, inverses, sumset
 
@@ -33,7 +33,7 @@ K2_RED = EdgeColouredGraph(2, 2, [(0, 1, 2)])
 def symmetric_subset(rng, spec, max_pairs=3):
     """Random inverse-closed identity-free subset."""
     members = set()
-    pool = [x for x in spec.elements() if x != spec.identity]
+    pool = [x for x in spec.elements() if x != (0,) * len(spec.factors)]
     for _ in range(rng.randint(1, max_pairs)):
         x = rng.choice(pool)
         members.add(x)
@@ -220,7 +220,7 @@ def connecting_sets(draw):
     picks += draw(st.lists(halves, max_size=2))
     colour_count = draw(st.integers(1, 4))
     classes = {c: set() for c in range(1, colour_count + 1)}
-    used = {spec.identity}
+    used = {(0,) * len(spec.factors)}
     for x in picks:
         if x not in used:
             pair = {x, spec.neg(x)}
@@ -235,6 +235,32 @@ def connecting_sets(draw):
 def test_cayley_build_matches_group_law(ccs):
     g = cayley_build(ccs)
     assert (g.vertex_count, g.colour_count) == (ccs.spec.order, ccs.colour_count)
+    assert g.edges == cayley_edges_by_group_law(ccs)
+
+
+@pytest.mark.parametrize("group", ["z:2,6", "z:2,2,4", "z:7"])
+def test_cayley_build_lists_each_edge_once(monkeypatch, group):
+    """Every non-identity element connects, involutions included where the
+    group has them (not in z:7); the constructor gets no repeated edge."""
+    spec = parse_group_text(group)
+    classes, used = {1: set(), 2: set()}, set()
+    for x in spec.elements():
+        if any(x) and x not in used:
+            pair = {x, spec.neg(x)}
+            used |= pair
+            classes[1 + len(used) % 2] |= pair
+    ccs = ColouredConnectingSet.of(
+        spec, {c: GroupSubset.of(spec, members) for c, members in classes.items()})
+    triples = []
+
+    def counting(vertex_count, colour_count, edges):
+        edges = list(edges)
+        triples.append(len(edges))
+        return EdgeColouredGraph(vertex_count, colour_count, edges)
+
+    monkeypatch.setattr(construct, "EdgeColouredGraph", counting)
+    g = cayley_build(ccs)
+    assert triples == [len(g.edges)]
     assert g.edges == cayley_edges_by_group_law(ccs)
 
 
@@ -268,6 +294,30 @@ def test_product_vertex_count_limit(product):
     with pytest.raises(ValueError) as info:
         product(g, h)
     assert str(info.value) == "product vertex count 1001000 exceeds enumeration limit 1000000"
+
+
+def cycle(n, colours=2):
+    return EdgeColouredGraph(n, colours, [(i, (i + 1) % n, 1 + i % colours) for i in range(n)])
+
+
+@pytest.mark.parametrize("product", [strong_product, cartesian_product])
+def test_product_shares_one_int_per_vertex(product):
+    """600 vertices, so most ids are past the interpreter's small-int cache."""
+    g = product(cycle(20), cycle(30))
+    keys = {id(v) for nbrs in g._adj for v in nbrs}
+    assert len(keys) <= g.vertex_count == 600
+
+
+def test_verify_never_builds_the_edge_tuple():
+    """The profile pass reads the adjacency; only a reader of ``edges`` sorts it."""
+    ccs = ColouredConnectingSet.of(Z40, {1: GroupSubset.of(Z40, [9, 18, 22, 31]),
+                                         2: GroupSubset.of(Z40, [6, 7, 20, 33, 34])})
+    for g in (cayley_build(ccs), strong_product(cycle(6), cycle(8))):
+        verify_flip(g)
+        assert repr(g).endswith(f"edges={sum(map(len, g._adj)) // 2})")
+        with pytest.raises(AttributeError):
+            g._edges
+        assert g.edges is g._edges  # built once, on that first read
 
 
 def test_strong_product_k2_k2():

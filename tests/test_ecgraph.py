@@ -403,6 +403,35 @@ def test_to_json_is_the_indent_2_layout(g):
     assert EdgeColouredGraph.from_json(text) == g
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(json_graphs())
+def test_edge_count_is_the_edge_tuple_length(g):
+    assert g._edge_count() == len(g.edges)
+    assert repr(g).endswith(f"edges={len(g.edges)})")
+
+
+def test_from_json_counts_rows_before_reading_any(monkeypatch):
+    monkeypatch.setattr(ecgraph, "EDGE_LIMIT", 3)
+    row = [0, 1, "not read"]
+    with pytest.raises(ValueError) as info:
+        EdgeColouredGraph.from_json_dict({"vertices": 2, "colours": 1, "edges": [row] * 4})
+    assert str(info.value) == "graph JSON would have 4 edges, over the limit 3"
+    g = EdgeColouredGraph.from_json_dict(
+        {"vertices": 3, "colours": 1, "edges": [[0, 1, 1], [1, 2, 1], [0, 1, 1]]})
+    assert g.edges == ((0, 1, 1), (1, 2, 1))
+
+
+@pytest.mark.parametrize("row, message", [
+    ([0, 3, 1], "edge endpoint out of range: (0, 3, 1)"),
+    ([1, 1, 1], "loop edges are not allowed: (1, 1, 1)"),
+    ([0, 1, 2], "colour 2 outside 1..1: (0, 1, 2)"),
+])
+def test_constructor_names_a_list_row_as_a_tuple(row, message):
+    """File rows reach the constructor as lists; its errors name them as tuples."""
+    with pytest.raises(ValueError) as info:
+        EdgeColouredGraph(3, 1, [row])
+    assert str(info.value) == message
+
 @pytest.mark.parametrize("first", range(4))
 def test_from_json_names_the_first_malformed_row(first):
     bad = [[0, 1], [0, 1, True], [0, "1", 1], [0, 1, 1.0]]

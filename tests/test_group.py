@@ -10,10 +10,10 @@ from flipforge.setalg import GroupSubset, sumset
 
 def test_order_and_identity():
     assert cyclic(40).order == 40
-    assert cyclic(40).identity == (0,)
+    assert cyclic(40).add(7, (0,)) == (7,)
     spec = GroupSpec((2, 2, 20))
     assert spec.order == 80
-    assert spec.identity == (0, 0, 0)
+    assert spec.add((1, 1, 19), (0, 0, 0)) == (1, 1, 19)
 
 
 def test_factor_validation():
@@ -65,8 +65,9 @@ def test_group_axioms_random():
         y = tuple(rng.randrange(n) for n in factors)
         z = tuple(rng.randrange(n) for n in factors)
         assert spec.add(spec.add(x, y), z) == spec.add(x, spec.add(y, z))
-        assert spec.add(x, spec.identity) == spec.element(x)
-        assert spec.add(x, spec.neg(x)) == spec.identity
+        identity = (0,) * len(spec.factors)
+        assert spec.add(x, identity) == spec.element(x)
+        assert spec.add(x, spec.neg(x)) == identity
         assert spec.add(x, y) == spec.add(y, x)
 
 
@@ -74,7 +75,7 @@ def test_elements_enumeration():
     spec = GroupSpec((2, 3))
     got = list(spec.elements())
     assert got == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert got[0] == spec.identity
+    assert got[0] == (0,) * len(spec.factors)
     assert got == sorted(got)
     assert len(set(got)) == spec.order
 
