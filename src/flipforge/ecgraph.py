@@ -20,8 +20,8 @@ oracle the pass is checked against.
 
 A graph keeps one {neighbour: colour} dict per vertex. Its sorted edge tuple
 ``edges`` is built from those dicts the first time it is read, and cached;
-profiling, verification and the edge counts that size checks use never read
-it.
+profiling, verification, writing a graph or DOT file and the edge counts that
+size checks use never read it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import json
 import struct
 import sys
 from itertools import chain
-from typing import Iterable, Iterator
+from operator import add
+from typing import Callable, Iterable, Iterator
 
 from .group import ENUMERATION_LIMIT, _Record
 
@@ -58,13 +59,15 @@ _DIGIT_BITS = sys.int_info.bits_per_digit
 _DIGIT_BYTES = sys.int_info.sizeof_digit
 _DICT_ENTRY_BYTES = 3 * struct.calcsize("P")
 
-# One edge row as json.dumps(indent=2) lays it out, two levels deep.
-_JSON_EDGE_ROW = "    [\n      %d,\n      %d,\n      %d\n    ]"
-
 DOT_PALETTE = (
     "blue", "red", "green3", "orange", "purple",
     "brown", "cyan3", "magenta", "olive", "teal",
 )
+
+
+def _dot_tail(c: int) -> str:
+    """What follows v in a DOT edge line (see EdgeColouredGraph._edge_rows)."""
+    return ' [color="%s", label="%d"];' % (DOT_PALETTE[(c - 1) % len(DOT_PALETTE)], c)
 
 
 class VertexColourProfile(_Record):
@@ -246,29 +249,61 @@ class EdgeColouredGraph:
         ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` lays it out, written directly.
 
         ``indent`` makes ``json.dumps`` fall back to its pure-Python encoder,
-        which makes several calls per edge entry; formatting each edge row as
-        one fixed block and joining the rows runs at C speed.
+        which makes several calls per edge entry. Here each vertex u writes
+        all its rows with one C-level join: every row of u is the same head
+        holding u, then the neighbour v, then a tail holding the colour (see
+        ``_edge_rows``). The rows come from the adjacency, so ``edges`` is
+        never built.
         """
-        if self.edges:
-            rows = ",\n".join([_JSON_EDGE_ROW % e for e in self.edges])
-            edges = f"[\n{rows}\n  ]"
-        else:
-            edges = "[]"
+        # Each row as json.dumps(indent=2) lays it out, two levels deep.
+        rows = self._edge_rows("    [\n      %d,\n      ", ",\n", ",\n      %d\n    ]".__mod__)
+        edges = f"[\n{rows}\n  ]" if rows else "[]"
         return ('{\n  "colours": %d,\n  "edges": %s,\n  "vertices": %d\n}\n'
                 % (self.colour_count, edges, self.vertex_count))
 
+    def _edge_rows(self, head: str, sep: str, tail_of: Callable[[int], str]) -> str:
+        """One row per edge u < v in ``edges`` order, rows joined by ``sep``:
+        ``head % u``, then ``str(v)``, then ``tail_of(colour)``.
+
+        Each vertex sorts its higher neighbours once and joins all its rows
+        in one call, with ``sep + head % u`` between them. Neighbour strings
+        and tails are made once for each vertex and colour that occurs in an
+        edge, so the cost follows the edges, not ``vertex_count`` or
+        ``colour_count``.
+        """
+        adj = self._adj
+        used = set(chain.from_iterable(adj))
+        name = dict(zip(used, map(str, used))).__getitem__
+        colours = set(chain.from_iterable(map(dict.values, adj)))
+        tail = dict(zip(colours, map(tail_of, colours))).__getitem__
+        blocks = []
+        for u, nbrs in enumerate(adj):
+            higher = sorted([v for v in nbrs if v > u])
+            if higher:
+                h = head % u
+                blocks.append(h + (sep + h).join(
+                    map(add, map(name, higher), map(tail, map(nbrs.__getitem__, higher)))))
+        return sep.join(blocks)
+
     @staticmethod
     def from_json_dict(data: dict) -> "EdgeColouredGraph":
-        """The graph of a parsed graph file. The edge rows are counted against
-        ``EDGE_LIMIT`` before any is read, and a list of list rows goes to the
-        constructor as it is."""
+        """The graph of a parsed graph file.
+
+        The edge rows are counted against ``EDGE_LIMIT`` before any is read.
+        One pass checks that every entry is an int; a list of such rows goes
+        to the constructor as it is, which rejects a row of the wrong length.
+        If that pass or the constructor fails, the first malformed row, if
+        any, is named before any other error.
+        """
         try:
             vertices = data["vertices"]
             colours = data["colours"]
             edges = data["edges"]
-            if type(edges) is list:
+            if isinstance(edges, (list, str, dict)):
                 _check_edge_count(len(edges), "graph JSON")
-            if type(edges) is not list or not set(map(type, edges)) <= {list}:
+            int_entries = set(map(type, chain.from_iterable(edges))) <= {int}
+            if not int_entries and (type(edges) is not list
+                                    or not set(map(type, edges)) <= {list}):
                 # Rows of other types are read as tuples, which names them as before.
                 edges = [tuple(e) for e in edges]
         except (KeyError, TypeError) as exc:
@@ -276,13 +311,16 @@ class EdgeColouredGraph:
         if type(vertices) is not int or type(colours) is not int:
             raise ValueError(
                 f"vertices and colours must be integers, got {vertices!r} and {colours!r}")
-        if not (set(map(len, edges)) <= {3}
-                and set(map(type, chain.from_iterable(edges))) <= {int}):
-            # Some row is bad: scan in order to name the first one.
-            for e in edges:
-                if len(e) != 3 or any(type(x) is not int for x in e):
-                    raise ValueError(f"malformed edge entry {tuple(e)!r}")
-        return EdgeColouredGraph(vertices, colours, edges)
+        if int_entries:
+            try:
+                return EdgeColouredGraph(vertices, colours, edges)
+            except ValueError as exc:
+                error = exc
+        # A row with an entry that is not an int always stops this scan.
+        for e in edges:
+            if len(e) != 3 or any(type(x) is not int for x in e):
+                raise ValueError(f"malformed edge entry {tuple(e)!r}")
+        raise error
 
     @staticmethod
     def from_json(text: str) -> "EdgeColouredGraph":
@@ -296,12 +334,8 @@ class EdgeColouredGraph:
 
     def to_dot(self) -> str:
         """GraphViz text for a graph named G, one edge per line, colour from a fixed palette."""
-        lines = ["graph G {"]
-        for u, v, c in self.edges:
-            colour = DOT_PALETTE[(c - 1) % len(DOT_PALETTE)]
-            lines.append(f'  {u} -- {v} [color="{colour}", label="{c}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        rows = self._edge_rows("  %d -- ", "\n", _dot_tail)
+        return f"graph G {{\n{rows}\n}}\n" if rows else "graph G {\n}\n"
 
 
 def _open_by_bitsets(adj, order, rank, colour_count) -> list[list[int]]:

@@ -120,11 +120,6 @@ class GroupSpec(_Record):
             raise ValueError(f"element length {len(residues)} does not match {len(self.factors)} factors")
         return tuple(x % n for x, n in zip(residues, self.factors))
 
-    def add(self, x: ElementLike, y: ElementLike) -> GroupElement:
-        a = self.element(x)
-        b = self.element(y)
-        return tuple((p + q) % n for p, q, n in zip(a, b, self.factors))
-
     def neg(self, x: ElementLike) -> GroupElement:
         a = self.element(x)
         return tuple((-p) % n for p, n in zip(a, self.factors))

@@ -203,6 +203,18 @@ def test_graph_file_over_edge_limit_exits_2(tmp_path, capsys, monkeypatch, argv)
     assert err == "error: graph JSON would have 4 edges, over the limit 3\n"
 
 
+@pytest.mark.parametrize("edges", ["abcd", {"a": 1, "b": 2, "c": 3, "d": 4}],
+                         ids=["string", "object"])
+def test_non_list_edges_over_edge_limit_exit_2(tmp_path, capsys, monkeypatch, edges):
+    """A string or object in place of the edge list is counted before it is read."""
+    monkeypatch.setattr(flipforge.ecgraph, "EDGE_LIMIT", 3)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": 4, "colours": 2, "edges": edges}))
+    rc, out, err = run(capsys, "verify", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: graph JSON would have 4 edges, over the limit 3\n"
+
+
 @pytest.mark.parametrize("row, message", [
     ([0, 9, 1], "edge endpoint out of range: (0, 9, 1)"),
     ([2, 2, 1], "loop edges are not allowed: (2, 2, 1)"),

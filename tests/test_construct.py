@@ -202,7 +202,7 @@ def cayley_edges_by_group_law(ccs):
     for colour, subset in ccs.classes:
         for s in subset.elements:
             for g, gi in index.items():
-                hi = index[spec.add(g, s)]
+                hi = index[tuple((a + b) % n for a, b, n in zip(g, s, spec.factors))]
                 edges.add((min(gi, hi), max(gi, hi), colour))
     return tuple(sorted(edges))
 

@@ -11,7 +11,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipforge import ecgraph
@@ -421,6 +421,66 @@ def test_from_json_counts_rows_before_reading_any(monkeypatch):
     assert g.edges == ((0, 1, 1), (1, 2, 1))
 
 
+def test_malformed_row_is_named_after_an_earlier_constructor_error():
+    """The constructor meets the bad endpoint, colour or pair first; the
+    malformed row after it is still the one reported."""
+    for bad in ([0, 9, 1], [2, 2, 1], [0, 2, 3], [0, 1, 2]):
+        data = {"vertices": 3, "colours": 2, "edges": [[0, 1, 1], bad, [0, 1, 2, 1], [1, 2]]}
+        with pytest.raises(ValueError) as info:
+            EdgeColouredGraph.from_json_dict(data)
+        assert str(info.value) == "malformed edge entry (0, 1, 2, 1)"
+
+
+def three_pass_from_json_dict(data):
+    """Reference reader: every row's type, length and entries are checked in
+    whole-file passes before the constructor sees any row."""
+    try:
+        vertices = data["vertices"]
+        colours = data["colours"]
+        edges = data["edges"]
+        if type(edges) is list:
+            ecgraph._check_edge_count(len(edges), "graph JSON")
+        if type(edges) is not list or not set(map(type, edges)) <= {list}:
+            edges = [tuple(e) for e in edges]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed graph JSON: {exc}") from None
+    if type(vertices) is not int or type(colours) is not int:
+        raise ValueError(
+            f"vertices and colours must be integers, got {vertices!r} and {colours!r}")
+    for e in edges:
+        if len(e) != 3 or any(type(x) is not int for x in e):
+            raise ValueError(f"malformed edge entry {tuple(e)!r}")
+    return EdgeColouredGraph(vertices, colours, edges)
+
+
+def outcome(read, data):
+    try:
+        return read(data)
+    except ValueError as exc:
+        return str(exc)
+
+
+# JSON values a graph file may hold where an edge row or entry belongs.
+json_scalars = st.sampled_from([None, True, False, 1.0, "1", "ab", 7, -1, 3])
+json_rows = (st.lists(st.integers(-1, 4), min_size=3, max_size=3)
+             | st.lists(st.integers(-1, 4) | json_scalars, min_size=3, max_size=3)
+             | st.lists(st.integers(-1, 4), max_size=5)
+             | json_scalars
+             | st.dictionaries(st.sampled_from("abc"), st.integers(0, 3), max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@example(vertices=3, colours=1, edges=[[0, 1, True]])
+@given(vertices=st.integers(-1, 4) | st.just("3"), colours=st.integers(0, 3) | st.just(None),
+       edges=st.lists(json_rows, max_size=6) | json_scalars | st.dictionaries(
+           st.sampled_from("xyz"), st.integers(0, 3), max_size=3))
+def test_from_json_dict_matches_the_three_pass_reader(vertices, colours, edges):
+    """Same graph or the same message as checking every row before building."""
+    data = {"vertices": vertices, "colours": colours, "edges": edges}
+    expected = outcome(three_pass_from_json_dict, data)
+    assert outcome(EdgeColouredGraph.from_json_dict, data) == expected
+
+
 @pytest.mark.parametrize("row, message", [
     ([0, 3, 1], "edge endpoint out of range: (0, 3, 1)"),
     ([1, 1, 1], "loop edges are not allowed: (1, 1, 1)"),
@@ -452,6 +512,43 @@ def test_to_dot():
     # palette wraps around after ten colours
     big = EdgeColouredGraph(2, 11, [(0, 1, 11)])
     assert 'color="blue"' in big.to_dot()
+
+
+def per_edge_dot(g):
+    """The reference bytes for ``to_dot``: one f-string per edge of ``edges``."""
+    lines = ["graph G {"]
+    for u, v, c in g.edges:
+        colour = ecgraph.DOT_PALETTE[(c - 1) % len(ecgraph.DOT_PALETTE)]
+        lines.append(f'  {u} -- {v} [color="{colour}", label="{c}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(json_graphs())
+def test_to_dot_is_the_per_edge_layout(g):
+    """``json_graphs`` draws up to 12 colours, so the palette wraps."""
+    assert g.to_dot() == per_edge_dot(g)
+
+
+def test_writers_build_no_edge_tuple():
+    g = EdgeColouredGraph(4, 2, [(2, 3, 1), (0, 1, 1), (1, 2, 2), (0, 3, 2)])
+    g.to_json()
+    g.to_dot()
+    assert not hasattr(g, "_edges")
+
+
+@pytest.mark.parametrize("write", [EdgeColouredGraph.to_json, EdgeColouredGraph.to_dot])
+def test_writers_cost_follows_the_edges(write):
+    """One edge over a million colours: nothing is made per colour."""
+    g = EdgeColouredGraph(2, 10**6, [(0, 1, 1)])
+    tracemalloc.start()
+    try:
+        write(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_immutability():
