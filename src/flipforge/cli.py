@@ -93,10 +93,10 @@ def _parse_class_flag(spec_text: str, flag: str) -> tuple[int, list]:
         token = token.strip()
         if not token:
             continue
-        if "," in token:
-            elements.append(tuple(int(p) for p in token.split(",")))
-        else:
-            elements.append(int(token))
+        try:
+            elements.append(tuple(map(int, token.split(","))) if "," in token else int(token))
+        except ValueError:
+            raise ValueError(f"{flag} residues must be integers, got {token!r}") from None
     if not elements:
         raise ValueError(f"{flag} has no elements in {spec_text!r}")
     return colour, elements

@@ -8,6 +8,8 @@ diagonal pairs where both coordinates move).
 
 from __future__ import annotations
 
+from itertools import chain, combinations, compress, repeat
+from operator import itemgetter, lt
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .ecgraph import Edge, EdgeColouredGraph, _check_edge_count
@@ -26,39 +28,41 @@ class ColouredConnectingSet(_Record):
     classes: tuple[tuple[int, GroupSubset], ...]
     colour_count: int
 
+    def __post_init__(self) -> None:
+        if not self.classes:
+            raise ValueError("connecting set needs at least one colour class")
+        items = tuple(sorted(self.classes, key=itemgetter(0)))
+        self.__dict__["classes"] = items
+        top = 0
+        for colour, subset in items:
+            if not isinstance(colour, int) or colour < 1:
+                raise ValueError(f"colour must be a positive integer, got {colour!r}")
+            if colour == top:
+                raise ValueError(f"colour {colour} has two classes")
+            top = colour
+            if subset.spec != self.spec:
+                raise ValueError(f"class {colour} lives in {subset.spec}, expected {self.spec}")
+            if subset.contains_identity():
+                raise ValueError(f"class {colour} contains the identity")
+            if not is_inverse_closed(subset):
+                raise ValueError(f"class {colour} is not inverse-closed")
+        if len(self.union_elements()) != sum(len(subset) for _, subset in items):
+            # Some pair overlaps: find the first in colour order to name it.
+            for (first, a), (second, b) in combinations(items, 2):
+                if not a.is_disjoint(b):
+                    raise ValueError(f"classes {first} and {second} overlap")
+        if self.colour_count < top:
+            raise ValueError(f"colour count {self.colour_count} below largest class colour {top}")
+
     @staticmethod
     def of(
         spec: GroupSpec,
         classes: Mapping[int, GroupSubset],
         colour_count: Optional[int] = None,
     ) -> "ColouredConnectingSet":
-        if not classes:
-            raise ValueError("connecting set needs at least one colour class")
-        items = tuple(sorted(classes.items()))
-        union = items[0][1]
-        for colour, subset in items:
-            if not isinstance(colour, int) or colour < 1:
-                raise ValueError(f"colour must be a positive integer, got {colour!r}")
-            if subset.spec != spec:
-                raise ValueError(f"class {colour} lives in {subset.spec}, expected {spec}")
-            if subset.contains_identity():
-                raise ValueError(f"class {colour} contains the identity")
-            if not is_inverse_closed(subset):
-                raise ValueError(f"class {colour} is not inverse-closed")
-            union = union.union(subset)
-        if len(union) != sum(len(subset) for _, subset in items):
-            # Some pair overlaps: find the first in colour order to name it.
-            for i in range(len(items)):
-                for j in range(i + 1, len(items)):
-                    if not items[i][1].is_disjoint(items[j][1]):
-                        raise ValueError(
-                            f"classes {items[i][0]} and {items[j][0]} overlap")
-        top = max(c for c, _ in items)
         if colour_count is None:
-            colour_count = top
-        if colour_count < top:
-            raise ValueError(f"colour count {colour_count} below largest class colour {top}")
-        return ColouredConnectingSet(spec, items, colour_count)
+            colour_count = max(classes, default=0)
+        return ColouredConnectingSet(spec, tuple(classes.items()), colour_count)
 
     def union_elements(self) -> GroupSubset:
         out = self.classes[0][1]
@@ -88,29 +92,25 @@ class ColouredConnectingSet(_Record):
             for e in elems:
                 if type(e) is not list or any(type(x) is not int for x in e):
                     raise ValueError(f"malformed element {e!r} in class {colour}")
-            c = int(colour)
+            try:
+                c = int(colour)
+            except ValueError:
+                raise ValueError(f"class key {colour!r} is not an integer colour") from None
             if c in classes:
                 raise ValueError(f"class key {colour!r} repeats colour {c}")
             classes[c] = GroupSubset.of(spec, [tuple(e) for e in elems])
         return ColouredConnectingSet.of(spec, classes, colour_count)
 
 
-def _translation_table(factors: tuple[int, ...], s: tuple[int, ...]) -> list[int]:
-    """Vertex number of g + s at index g, built factor by factor in mixed radix."""
-    table = [0]
-    for x, n in zip(s, factors):
-        table = [t * n + (v + x) % n for t in table for v in range(n)]
-    return table
-
-
 def cayley_build(ccs: ColouredConnectingSet) -> EdgeColouredGraph:
     """Cayley graph on the whole group, one edge {g, g+s} per connecting element.
 
     Vertex i is the i-th element in enumeration order, that is the element's
-    mixed-radix value with the first factor most significant, so g + s is one
-    table look-up. The graph constructor gets each edge once: of each inverse
-    pair {s, -s} only the smaller is translated, since g + s = h is g = h - s,
-    and an involution s = -s joins g to g + s only where g < g + s.
+    mixed-radix value with the first factor most significant. The table of
+    g + s is the vertex list with each factor's blocks rotated by the residue
+    of s (``GroupSpec._blocks``). Every class is inverse-closed, so each edge
+    is listed twice, from s and from -s (from s twice when s = -s); the graph
+    constructor gets only the copy from g to g + s with g < g + s.
     """
     spec = ccs.spec
     spec.check_enumerable()
@@ -118,23 +118,25 @@ def cayley_build(ccs: ColouredConnectingSet) -> EdgeColouredGraph:
     # so every vertex has degree |S|.
     degree = sum(len(subset) for _, subset in ccs.classes)
     _check_edge_count(spec.order * degree // 2, "Cayley graph")
-    return EdgeColouredGraph(spec.order, ccs.colour_count, _cayley_edges(ccs))
+    return EdgeColouredGraph(spec.order, ccs.colour_count, chain.from_iterable(_cayley_edges(ccs)))
 
 
-def _cayley_edges(ccs: ColouredConnectingSet) -> Iterator[Edge]:
+def _cayley_edges(ccs: ColouredConnectingSet) -> Iterator[Iterator[Edge]]:
     spec = ccs.spec
-    # One int object per vertex, shared by every edge that touches it.
+    # One int object per vertex, shared by every edge; the tables rearrange it.
     vertices = list(range(spec.order))
     for colour, subset in ccs.classes:
         for s in subset.elements:
-            minus_s = spec.neg(s)
-            if s > minus_s:
-                continue
-            ends = zip(vertices, _translation_table(spec.factors, s))
-            if s == minus_s:
-                ends = [(u, w) for u, w in ends if u < w]
-            for u, w in ends:
-                yield u, vertices[w], colour
+            table = vertices
+            for y, (f, inner, _) in zip(s, spec._blocks):
+                if y:
+                    block, shift = f * inner, y * inner
+                    rotated = []
+                    for start in range(0, spec.order, block):
+                        rotated += table[start + shift:start + block]
+                        rotated += table[start:start + shift]
+                    table = rotated
+            yield compress(zip(vertices, table, repeat(colour)), map(lt, vertices, table))
 
 
 def merge_connecting_sets(

@@ -120,17 +120,14 @@ class GroupSpec(_Record):
             raise ValueError(f"element length {len(residues)} does not match {len(self.factors)} factors")
         return tuple(x % n for x, n in zip(residues, self.factors))
 
-    def neg(self, x: ElementLike) -> GroupElement:
-        a = self.element(x)
-        return tuple((-p) % n for p, n in zip(a, self.factors))
-
     @functools.cached_property
     def _blocks(self) -> tuple[tuple[int, int, int], ...]:
         """(factor f, inner size, repunit) per factor: in enumeration order the
         factor's residue is constant on runs of ``inner`` elements, f runs to a
-        block, and the repunit has one bit at the start of each block. Index
-        bitset translation (``setalg._translator``) masks with the repunits, so
-        they are computed once per spec and kept as long as it is."""
+        block, and adding residue y rotates every block by y runs. Two readers:
+        ``setalg._translator`` rotates index bitsets, masking with the repunits
+        (one bit at each block's start, computed once per spec), and
+        ``construct._cayley_edges`` rotates the vertex list."""
         blocks = []
         inner = self.order
         for f in self.factors:

@@ -78,7 +78,7 @@ def symmetric_subset(rng, spec, max_pairs=4):
     for _ in range(rng.randint(1, max_pairs)):
         x = rng.choice(pool)
         members.add(x)
-        members.add(spec.neg(x))
+        members.add(tuple(-y % n for y, n in zip(x, spec.factors)))
     return GroupSubset.of(spec, members)
 
 

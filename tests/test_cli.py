@@ -278,6 +278,16 @@ def test_pack_malformed_connecting_set_exits_2(tmp_path, capsys, change):
     assert err.startswith("error:")
 
 
+def test_pack_non_integer_class_key_names_the_key(tmp_path, capsys):
+    (tmp_path / "first.json").write_text(json.dumps(
+        {"group": "z:40", "colour_count": 2, "classes": {"x": [[9], [31]]}}))
+    (tmp_path / "second.json").write_text(json.dumps(RED_SET))
+    rc, out, err = run(capsys, "pack", "--first", str(tmp_path / "first.json"),
+                       "--second", str(tmp_path / "second.json"))
+    assert (rc, out) == (2, "")
+    assert err == "error: class key 'x' is not an integer colour\n"
+
+
 def test_product_command(tmp_path, capsys):
     left = tmp_path / "k2_blue.json"
     right = tmp_path / "k2_red.json"
@@ -326,6 +336,13 @@ def test_cayley_invalid_class(capsys):
     assert rc == 2  # {1} is not inverse-closed in Z_7
     rc, _, err = run(capsys, "cayley", "--group", "z:7", "--class", "bogus")
     assert rc == 2
+
+
+@pytest.mark.parametrize("group, token", [("z:6", "a"), ("z:2,6", "1,a")])
+def test_cayley_non_integer_residue_names_flag_and_token(capsys, group, token):
+    rc, out, err = run(capsys, "cayley", "--group", group, "--class", f"1={token}")
+    assert (rc, out) == (2, "")
+    assert err == f"error: --class residues must be integers, got {token!r}\n"
 
 
 def test_pack_command(tmp_path, capsys):
@@ -684,13 +701,15 @@ def connecting_set_files(draw):
     owner = {}
     for x in spec.elements():
         if x != (0,) * len(spec.factors):
-            owner.setdefault(min(x, spec.neg(x)), draw(st.integers(0, 4)))
+            owner.setdefault(min(x, tuple(-y % n for y, n in zip(x, spec.factors))),
+                             draw(st.integers(0, 4)))
     texts = []
     for colours in ((1, 2), (3, 4)):
         classes = {str(c): [] for c in colours}
         for x, c in owner.items():
+            minus_x = tuple(-y % n for y, n in zip(x, spec.factors))
             if str(c) in classes:
-                classes[str(c)] += [list(x), list(spec.neg(x))] if x != spec.neg(x) else [list(x)]
+                classes[str(c)] += [list(x), list(minus_x)] if x != minus_x else [list(x)]
         doc = {"group": text, "classes": classes}
         if draw(st.booleans()):
             doc["colour_count"] = draw(st.integers(1, 5))

@@ -37,7 +37,7 @@ def symmetric_subset(rng, spec, max_pairs=3):
     for _ in range(rng.randint(1, max_pairs)):
         x = rng.choice(pool)
         members.add(x)
-        members.add(spec.neg(x))
+        members.add(tuple(-y % n for y, n in zip(x, spec.factors)))
     return GroupSubset.of(spec, members)
 
 
@@ -70,6 +70,21 @@ def test_connecting_set_validation():
         ColouredConnectingSet.of(Z7, {3: good}, colour_count=2)
     with pytest.raises(ValueError):
         ColouredConnectingSet.of(cyclic(8), {1: good})  # subset lives elsewhere
+
+
+def test_connecting_set_checks_every_construction():
+    """The record's own checks run without ``of``, and again on ``replace``."""
+    one_way = ((1, GroupSubset.of(Z7, [6])),)
+    with pytest.raises(ValueError, match="^class 1 is not inverse-closed$"):
+        ColouredConnectingSet(Z7, one_way, 1)
+    good = ColouredConnectingSet.of(Z7, {1: GroupSubset.of(Z7, [1, 6])})
+    with pytest.raises(ValueError, match="^class 1 is not inverse-closed$"):
+        good.replace(classes=one_way)
+    with pytest.raises(ValueError, match="^colour 1 has two classes$"):
+        good.replace(classes=good.classes + ((1, GroupSubset.of(Z7, [2, 5])),))
+    # Classes are kept in colour order however they are given.
+    pairs = ((2, GroupSubset.of(Z7, [2, 5])), (1, GroupSubset.of(Z7, [1, 6])))
+    assert ColouredConnectingSet(Z7, pairs, 2).classes == pairs[::-1]
 
 
 def test_connecting_set_disjointness_without_pairwise_checks(monkeypatch):
@@ -223,7 +238,7 @@ def connecting_sets(draw):
     used = {(0,) * len(spec.factors)}
     for x in picks:
         if x not in used:
-            pair = {x, spec.neg(x)}
+            pair = {x, tuple(-y % n for y, n in zip(x, spec.factors))}
             used |= pair
             classes[draw(st.integers(1, colour_count))] |= pair
     return ColouredConnectingSet.of(
@@ -238,15 +253,16 @@ def test_cayley_build_matches_group_law(ccs):
     assert g.edges == cayley_edges_by_group_law(ccs)
 
 
-@pytest.mark.parametrize("group", ["z:2,6", "z:2,2,4", "z:7"])
+@pytest.mark.parametrize("group", ["z:2,6", "z:2,2,4", "z:7", "z:2,2,2,2", "z:3,6"])
 def test_cayley_build_lists_each_edge_once(monkeypatch, group):
     """Every non-identity element connects, involutions included where the
-    group has them (not in z:7); the constructor gets no repeated edge."""
+    group has them (not in z:7; every element of z:2,2,2,2 is one); the
+    constructor gets no repeated edge."""
     spec = parse_group_text(group)
     classes, used = {1: set(), 2: set()}, set()
     for x in spec.elements():
         if any(x) and x not in used:
-            pair = {x, spec.neg(x)}
+            pair = {x, tuple(-y % n for y, n in zip(x, spec.factors))}
             used |= pair
             classes[1 + len(used) % 2] |= pair
     ccs = ColouredConnectingSet.of(
@@ -306,6 +322,18 @@ def test_product_shares_one_int_per_vertex(product):
     g = product(cycle(20), cycle(30))
     keys = {id(v) for nbrs in g._adj for v in nbrs}
     assert len(keys) <= g.vertex_count == 600
+
+
+def test_cayley_build_shares_one_int_per_vertex():
+    """Two factors, 600 vertices: the translation tables hold the vertex ints."""
+    spec = GroupSpec((2, 300))
+    g = cayley_build(ColouredConnectingSet.of(spec, {
+        1: GroupSubset.of(spec, [(0, 1), (0, 299)]),
+        2: GroupSubset.of(spec, [(1, 0)]),
+        3: GroupSubset.of(spec, [(1, 7), (1, 293)])}))
+    keys = {id(v) for nbrs in g._adj for v in nbrs}
+    assert len(keys) <= g.vertex_count == 600
+    assert g._edge_count() == 600 * 5 // 2
 
 
 def test_verify_never_builds_the_edge_tuple():
