@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .ecgraph import EdgeColouredGraph
 from .group import ENUMERATION_LIMIT, GroupElement, GroupSpec, _Record
-from .setalg import GroupSubset, _translator, json_value
+from .setalg import GroupSubset, json_value
 
 __all__ = ["BoundRow", "FlipReport", "SearchResult", "bounds_table", "bounds_to_csv",
            "check_br_range", "new_bound", "new_bound_cap", "old_bound", "parity_factor",
@@ -218,9 +218,7 @@ def _atoms(spec: GroupSpec) -> Iterator[tuple[GroupElement, int]]:
     order, involutions as singletons and the identity left out. x is the i-th
     element and -x the j-th; each atom is listed once, at its first element."""
     for i, x in enumerate(spec.elements()):
-        j = 0
-        for y, f in zip(x, spec.factors):
-            j = j * f + -y % f
+        j = spec._index([-y % f for y, f in zip(x, spec.factors)])
         if 0 < i <= j:
             yield x, 1 << i | 1 << j
 
@@ -255,8 +253,8 @@ def search_sumfree_inverse_closed(
     if mode == "exhaustive" and spec.order > EXHAUSTIVE_ORDER_CAP:
         raise ValueError(
             f"exhaustive mode needs group order <= {EXHAUSTIVE_ORDER_CAP}, got {spec.order}")
-    spec.check_enumerable()  # before the translator's |G|-bit masks
-    translate = _translator(spec)
+    spec.check_enumerable()  # before the translation's |G|-bit masks
+    translate = spec._translate_bits
     examined, exhausted = 0, False
     if mode == "exhaustive":
         atoms = list(_atoms(spec))

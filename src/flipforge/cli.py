@@ -128,7 +128,7 @@ def _cmd_construct_br(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     graph = _load_graph(args.infile)
-    expected = _int_list(args.sequence, "--sequence") if args.sequence else None
+    expected = _int_list(args.sequence, "--sequence") if args.sequence is not None else None
     report = verify_flip(graph, expected=expected)
     sys.stdout.write(_dump_json(report.to_json_dict()))
     return 0 if report.passed else 1

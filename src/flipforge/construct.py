@@ -107,10 +107,9 @@ def cayley_build(ccs: ColouredConnectingSet) -> EdgeColouredGraph:
 
     Vertex i is the i-th element in enumeration order, that is the element's
     mixed-radix value with the first factor most significant. The table of
-    g + s is the vertex list with each factor's blocks rotated by the residue
-    of s (``GroupSpec._blocks``). Every class is inverse-closed, so each edge
-    is listed twice, from s and from -s (from s twice when s = -s); the graph
-    constructor gets only the copy from g to g + s with g < g + s.
+    g + s is the vertex list translated by s (``GroupSpec._translate_list``).
+    Every class is inverse-closed, so each edge is listed twice, from s and
+    from -s (from s twice when s = -s); only the copy with g < g + s is kept.
     """
     spec = ccs.spec
     spec.check_enumerable()
@@ -122,20 +121,13 @@ def cayley_build(ccs: ColouredConnectingSet) -> EdgeColouredGraph:
 
 
 def _cayley_edges(ccs: ColouredConnectingSet) -> Iterator[Iterator[Edge]]:
+    """Per connecting element s, the triples (g, g + s, colour) with g < g + s.
+    Every triple holds the same int object per vertex; the tables rearrange it."""
     spec = ccs.spec
-    # One int object per vertex, shared by every edge; the tables rearrange it.
     vertices = list(range(spec.order))
     for colour, subset in ccs.classes:
         for s in subset.elements:
-            table = vertices
-            for y, (f, inner, _) in zip(s, spec._blocks):
-                if y:
-                    block, shift = f * inner, y * inner
-                    rotated = []
-                    for start in range(0, spec.order, block):
-                        rotated += table[start + shift:start + block]
-                        rotated += table[start:start + shift]
-                    table = rotated
+            table = spec._translate_list(vertices, s)
             yield compress(zip(vertices, table, repeat(colour)), map(lt, vertices, table))
 
 

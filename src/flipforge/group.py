@@ -124,10 +124,9 @@ class GroupSpec(_Record):
     def _blocks(self) -> tuple[tuple[int, int, int], ...]:
         """(factor f, inner size, repunit) per factor: in enumeration order the
         factor's residue is constant on runs of ``inner`` elements, f runs to a
-        block, and adding residue y rotates every block by y runs. Two readers:
-        ``setalg._translator`` rotates index bitsets, masking with the repunits
-        (one bit at each block's start, computed once per spec), and
-        ``construct._cayley_edges`` rotates the vertex list."""
+        block, and adding residue y rotates every block by y runs. Each repunit
+        (one bit at each block's start) has |G| bits, so the order is checked first."""
+        self.check_enumerable()
         blocks = []
         inner = self.order
         for f in self.factors:
@@ -137,6 +136,49 @@ class GroupSpec(_Record):
             block = f * inner
             blocks.append((f, inner, int("1".rjust(block, "0") * (self.order // block), 2)))
         return tuple(blocks)
+
+    def _index(self, x: Iterable[int]) -> int:
+        """Reduced element x's position in enumeration order: mixed radix, first factor first."""
+        index = 0
+        for y, n in zip(x, self.factors):
+            index = index * n + y
+        return index
+
+    def _elements_at(self, indices: list[int]) -> Iterator[GroupElement]:
+        """The elements at these positions, decoded one residue column per factor."""
+        columns = []
+        inner = self.order
+        for f in self.factors:
+            inner //= f
+            columns.append([i // inner % f for i in indices])
+        return zip(*columns)
+
+    def _translate_bits(self, bits: int, x: GroupElement) -> int:
+        """S + x on an index bitset S (bit i is the i-th element): each residue y rotates
+        its factor's blocks, ``((S & lo) << y*inner) | ((S & hi) >> (f-y)*inner)``,
+        the low mask being the block pattern times the repunit, so no mask is kept."""
+        for y, (f, inner, repunit) in zip(x, self._blocks):
+            if y:
+                low = bits & ((repunit << (f - y) * inner) - repunit)
+                bits = (low << y * inner) | ((bits ^ low) >> (f - y) * inner)
+        return bits
+
+    def _negate_bits(self, bits: int) -> int:
+        """-S: reversing the |G| bits sends each residue y to f-1-y; adding 1 to each gives -y."""
+        ones = (1,) * len(self._blocks)  # the order is checked before the |G|-digit string
+        return self._translate_bits(int(bin(bits)[2:].zfill(self.order)[::-1], 2), ones)
+
+    def _translate_list(self, items: list, x: GroupElement) -> list:
+        """Entry i becomes items[index of element i + x]: each factor's blocks rotated by its residue."""
+        for y, (f, inner, _) in zip(x, self._blocks):
+            if y:
+                block, shift = f * inner, y * inner
+                rotated = []
+                for start in range(0, len(items), block):
+                    rotated += items[start + shift:start + block]
+                    rotated += items[start:start + shift]
+                items = rotated
+        return items
 
     def check_enumerable(self) -> None:
         """Raise when the group is too large to list; run before any per-element allocation."""

@@ -8,7 +8,7 @@ disjointness facts involving the involution n/2.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .group import ElementLike, GroupElement, GroupSpec, _Record, cyclic, format_elements
 
@@ -18,7 +18,7 @@ __all__ = ["GroupSubset", "IntervalSumsetReport", "ResidueInterval", "interval_s
 
 class GroupSubset(_Record):
     """Immutable subset of a fixed group: bit i of ``bits`` is the i-th element of
-    ``spec.elements()``, so set operations are integer operations."""
+    ``spec.elements()``, numbered and translated by the spec, so set operations are integer operations."""
 
     spec: GroupSpec
     bits: int
@@ -32,9 +32,7 @@ class GroupSubset(_Record):
         spec.check_enumerable()  # the bitset takes |G| / 8 bytes
         octets = bytearray((spec.order + 7) // 8)
         for x in items:
-            index = 0
-            for y, n in zip(spec.element(x), spec.factors):
-                index = index * n + y
+            index = spec._index(spec.element(x))
             octets[index >> 3] |= 1 << (index & 7)
         return GroupSubset(spec, int.from_bytes(octets, "little"))
 
@@ -47,13 +45,7 @@ class GroupSubset(_Record):
         while index >= 0:
             indices.append(index)
             index = digits.find("1", index + 1)
-        # Mixed radix, first factor most significant: one residue column per factor.
-        columns = []
-        inner = self.spec.order
-        for f in self.spec.factors:
-            inner //= f
-            columns.append([i // inner % f for i in indices])
-        return frozenset(zip(*columns))
+        return frozenset(self.spec._elements_at(indices))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -100,7 +92,7 @@ def _check_same_spec(a: GroupSubset, b: GroupSubset) -> None:
 def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
     """All pairwise sums x + y for x in a, y in b: a translated by each y."""
     _check_same_spec(a, b)
-    translate = _translator(a.spec)
+    translate = a.spec._translate_bits
     bits = 0
     for y in b.elements:
         bits |= translate(a.bits, y)
@@ -108,9 +100,8 @@ def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
 
 
 def inverses(a: GroupSubset) -> GroupSubset:
-    """-S: reversing the |G| bits sends each residue y to f-1-y; adding 1 to each gives -y."""
-    flipped = int(bin(a.bits)[2:].zfill(a.spec.order)[::-1], 2)
-    return GroupSubset(a.spec, _translator(a.spec)(flipped, (1,) * len(a.spec.factors)))
+    """-S, the negation of every member."""
+    return GroupSubset(a.spec, a.spec._negate_bits(a.bits))
 
 
 def is_sum_free(a: GroupSubset) -> bool:
@@ -120,29 +111,6 @@ def is_sum_free(a: GroupSubset) -> bool:
 
 def is_inverse_closed(a: GroupSubset) -> bool:
     return a == inverses(a)
-
-
-def _translator(spec: GroupSpec) -> Callable[[int, GroupElement], int]:
-    """S + x on index bitsets: bit i of S stands for the i-th element in
-    enumeration order, the mixed-radix numbering with the first factor most
-    significant, so ``translate(1, x)`` is the bit of x.
-
-    Adding x rotates every block of each factor by that factor's residue y:
-    ``((S & lo) << y*inner) | ((S & hi) >> (f-y)*inner)``. The low mask is
-    the block pattern times the factor's repunit, one shift and one
-    subtraction; only the repunits are kept, one integer per factor on the
-    spec (``GroupSpec._blocks``), however many shifts and calls a group uses.
-    """
-    blocks = spec._blocks
-
-    def translate(bits: int, x: GroupElement) -> int:
-        for y, (f, inner, repunit) in zip(x, blocks):
-            if y:
-                low = bits & ((repunit << (f - y) * inner) - repunit)
-                bits = (low << y * inner) | ((bits ^ low) >> (f - y) * inner)
-        return bits
-
-    return translate
 
 
 class ResidueInterval(_Record):

@@ -393,11 +393,11 @@ def test_search_encodes_no_atom_through_a_subset(monkeypatch, mode):
 
 def test_search_greedy_checks_the_order_before_its_masks(monkeypatch):
     """Greedy mode has no order cap, so the enumeration limit is checked before
-    the translator builds its |G|-bit masks."""
-    def refuse(spec):
-        raise AssertionError("translator built for a group over the enumeration limit")
+    any translation builds its |G|-bit masks."""
+    def refuse(spec, bits, x):
+        raise AssertionError("translation run for a group over the enumeration limit")
 
-    monkeypatch.setattr(analysis, "_translator", refuse)
+    monkeypatch.setattr(GroupSpec, "_translate_bits", refuse)
     with pytest.raises(ValueError, match="exceeds enumeration limit"):
         search_sumfree_inverse_closed(cyclic(10**6 + 1), mode="greedy")
 

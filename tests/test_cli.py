@@ -166,6 +166,14 @@ def test_verify_failing_graph(tmp_path, capsys):
     assert ["", "degrees-not-increasing"][1] in [v[1] for v in report["violations"]]
 
 
+def test_verify_empty_sequence_is_a_usage_error(tmp_path, capsys):
+    """An empty --sequence is an expectation of length 0, not no expectation."""
+    path = tmp_path / "c4.json"
+    path.write_text(C4_JSON)
+    rc, out, err = run(capsys, "verify", "--in", str(path), "--sequence", "")
+    assert (rc, out, err) == (2, "", "error: expected degree vector has length 0, graph has 2 colours\n")
+
+
 def test_verify_malformed_input(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"vertices": 4')

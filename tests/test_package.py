@@ -48,6 +48,15 @@ def test_star_import_binds_exactly_all():
     assert proc.stdout == f"{flipforge.__all__}\n"
 
 
+def test_only_group_reads_the_numbering_blocks():
+    """GroupSpec alone numbers and translates elements; other modules call its methods."""
+    package = os.path.dirname(flipforge.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "group.py":
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                assert "_blocks" not in handle.read(), name
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Records need no generated methods, so start-up skips both modules. A
     child process is needed, because pytest itself imports inspect."""

@@ -19,7 +19,6 @@ from flipforge.setalg import (
     json_value,
     sumset,
 )
-from flipforge.setalg import _translator
 
 
 def random_subset(rng, spec, max_size=8):
@@ -303,11 +302,27 @@ def translate_cases(draw):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(translate_cases())
 def test_translate_is_residue_addition(case):
-    """The bitset rotation agrees with adding residue tuples, over the
-    enumeration order that numbers the bits."""
+    """The bitset rotation and the list rotation agree with adding residue
+    tuples, over the enumeration order that numbers the bits; the index and
+    its decoding agree with that order."""
     spec, elements, members, x = case
     index = {e: i for i, e in enumerate(elements)}
-    moved = {tuple((p + q) % n for p, q, n in zip(e, x, spec.factors)) for e in members}
-    translate = _translator(spec)
+    plus_x = [tuple((p + q) % n for p, q, n in zip(e, x, spec.factors)) for e in elements]
+    moved = {plus_x[index[e]] for e in members}
+    translate = spec._translate_bits
     assert translate(sum(1 << index[e] for e in members), x) == sum(1 << index[e] for e in moved)
     assert translate(1, x) == 1 << index[x]
+    assert spec._translate_list(list(range(spec.order)), x) == [index[e] for e in plus_x]
+    assert spec._index(x) == index[x]
+    assert list(spec._elements_at([spec._index(x)])) == [x]
+    assert list(spec._elements_at(list(range(spec.order)))) == elements
+
+
+@pytest.mark.parametrize("call", [lambda a: sumset(a, a), inverses, is_sum_free, is_inverse_closed],
+                         ids=["sumset", "inverses", "is_sum_free", "is_inverse_closed"])
+def test_set_algebra_checks_the_order_before_allocating(call):
+    """A subset built directly skips GroupSubset.of's check, so the translation
+    checks the order before building its |G|-bit repunits or digit string."""
+    a = GroupSubset(GroupSpec((10**6 + 1,)), 0b110)
+    with pytest.raises(ValueError, match=r"^group order 1000001 exceeds enumeration limit 1000000$"):
+        call(a)
