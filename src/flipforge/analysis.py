@@ -15,9 +15,9 @@ from .ecgraph import EdgeColouredGraph
 from .group import ENUMERATION_LIMIT, GroupElement, GroupSpec, _Record
 from .setalg import GroupSubset, json_value
 
-__all__ = ["BoundRow", "FlipReport", "SearchResult", "bounds_table", "bounds_to_csv",
-           "check_br_range", "new_bound", "new_bound_cap", "old_bound", "parity_factor",
-           "qk_bounds", "search_sumfree_inverse_closed", "verify_flip"]
+__all__ = ["FlipReport", "SearchResult", "bounds_table", "bounds_to_csv", "check_br_range",
+           "new_bound", "new_bound_cap", "old_bound", "parity_factor", "qk_bounds",
+           "search_sumfree_inverse_closed", "verify_flip"]
 
 VIOLATION_JSON_CAP = 20
 
@@ -111,6 +111,10 @@ def old_bound(b: int, r: int) -> int:
     cap = b * (b + 1) // 2 - 1
     if r > cap:
         raise ValueError(f"r <= b(b+1)/2 - 1 = {cap} required, got r={r}")
+    return _old_bound(b, r)
+
+
+def _old_bound(b: int, r: int) -> int:
     s = (5 + math.isqrt(1 + 8 * (r - b))) // 2
     return 2 * (r + b + 1 - s) * s
 
@@ -138,8 +142,11 @@ def check_br_range(b: int, r: int) -> None:
 def new_bound(b: int, r: int) -> int:
     """Order of the two-colour Cayley construction for degrees (b, r)."""
     check_br_range(b, r)
-    base = 2 + r // 2 + (b + 2) // 2 - 2 * ((b + 2) // 6)
-    return 8 * parity_factor(b, r) * base
+    return _new_bound(b, r)
+
+
+def _new_bound(b: int, r: int) -> int:
+    return 8 * parity_factor(b, r) * (2 + r // 2 + (b + 2) // 2 - 2 * ((b + 2) // 6))
 
 
 def qk_bounds(k: int) -> tuple[int, int]:
@@ -155,20 +162,15 @@ def qk_bounds(k: int) -> tuple[int, int]:
     return lower, upper
 
 
-class BoundRow(_Record):
-    b: int
-    r: int
-    old: Optional[int]
-    new: Optional[int]
-
-
-def bounds_table(b_values: Sequence[int]) -> list[BoundRow]:
-    """One row per (b, r) with r running over the two-colour construction's range.
+def bounds_table(b_values: Sequence[int]) -> list[tuple[int, int, Optional[int], Optional[int]]]:
+    """One (b, r, old, new) row per (b, r), r running over the two-colour
+    construction's range, with None where a bound does not apply.
 
     For b >= 4 the rows cover b < r < b + 2*floor((b+2)/6)^2, where both
     bounds are defined.  b = 3 falls back to the classical range with the
     new-bound cell left empty, since the construction needs b >= 4. Tables
-    over 10^6 rows are refused before any row is built.
+    over 10^6 rows are refused before any row is built. Each b is checked
+    once and r visits only valid pairs, so the rows call the bare formulas.
     """
     for b in b_values:
         if b < 3:
@@ -182,21 +184,18 @@ def bounds_table(b_values: Sequence[int]) -> list[BoundRow]:
         old_hi = b * (b + 1) // 2 - 1
         r_hi = new_bound_cap(b) - 1 if b >= 4 else old_hi
         for r in range(b + 1, r_hi + 1):
-            old = old_bound(b, r) if r <= old_hi else None
-            new = new_bound(b, r) if b >= 4 else None
-            rows.append(BoundRow(b, r, old, new))
+            old = _old_bound(b, r) if r <= old_hi else None
+            new = _new_bound(b, r) if b >= 4 else None
+            rows.append((b, r, old, new))
     return rows
 
 
-def bounds_to_csv(rows: Sequence[BoundRow]) -> str:
+def bounds_to_csv(rows: Sequence[tuple[int, int, Optional[int], Optional[int]]]) -> str:
     """CSV with header b,r,old_bound,new_bound; absent values are empty cells.
     Every cell is an integer or empty, so none needs quoting."""
-    lines = ["b,r,old_bound,new_bound\n"]
-    for row in rows:
-        old = "" if row.old is None else row.old
-        new = "" if row.new is None else row.new
-        lines.append(f"{row.b},{row.r},{old},{new}\n")
-    return "".join(lines)
+    return "b,r,old_bound,new_bound\n" + "".join(
+        f"{b},{r},{'' if old is None else old},{'' if new is None else new}\n"
+        for b, r, old, new in rows)
 
 
 EXHAUSTIVE_ORDER_CAP = 24
@@ -243,6 +242,9 @@ def search_sumfree_inverse_closed(
     is the i-th atom in element order). It runs depth first from the highest
     atom, leaving each atom out before taking it, and cuts a branch once its
     set is not sum-free (then no superset is) or cannot outgrow the best.
+    No set outgrows |G|/2: a sum-free S misses s + S for s in S, so 2|S| <= |G|
+    (Green and Ruzsa, 2005). A branch's reach is capped there, so every branch
+    after the first set of that size is cut, and being first it is the least.
     ``examined`` is 2^atoms, the candidate space covered, pruned masks
     included. Greedy mode keeps each atom, in order, that leaves the set
     sum-free; each try is a few operations on |G|-bit integers, so a run
@@ -265,10 +267,11 @@ def search_sumfree_inverse_closed(
         sizes = [bits.bit_count() for _, bits in atoms]
         room = list(itertools.accumulate(sizes, initial=0))
         best = [0, 0]  # bitset, size
+        ceiling = spec.order // 2
 
         def leave_or_take(i: int, s: int, size: int) -> None:
             # Atoms i and up are decided; leaving atom i - 1 out first visits masks in order.
-            if size + room[i] <= best[1]:
+            if min(size + room[i], ceiling) <= best[1]:
                 return
             if i == 0:
                 best[:] = s, size

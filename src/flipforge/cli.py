@@ -69,8 +69,11 @@ def _load_graph(path: str) -> EdgeColouredGraph:
 
 
 def _int_list(text: str, flag: str) -> list[int]:
+    """The empty string is the empty list; an empty or blank part is refused."""
+    if text == "":
+        return []
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
 

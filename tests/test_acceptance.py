@@ -186,11 +186,11 @@ def test_criterion_05_interval_check_replay():
 def test_criterion_06_bound_dominance():
     with criterion("6", "new order bound beats the old one on every table row"):
         rows = bounds_table([11])
-        assert [row.r for row in rows] == list(range(12, 19))
+        assert [r for _, r, _, _ in rows] == list(range(12, 19))
         rows += bounds_table([25])
         assert len(rows) == 38
-        for row in rows:
-            assert row.new < row.old, (row.b, row.r)
+        for b, r, old, new in rows:
+            assert new < old, (b, r)
         assert old_bound(6, 7) == 80
         assert new_bound(6, 7) == 56
 

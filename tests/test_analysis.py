@@ -172,17 +172,17 @@ def test_qk_bounds():
 
 def test_bounds_table_ranges():
     rows = bounds_table([11])
-    assert [row.r for row in rows] == list(range(12, 19))
-    assert all(row.old is not None and row.new is not None for row in rows)
+    assert [r for _, r, _, _ in rows] == list(range(12, 19))
+    assert all(old is not None and new is not None for _, _, old, new in rows)
     assert len(bounds_table([25])) == 31
     assert len(bounds_table([11, 25])) == 38
 
 
 def test_bounds_table_b3_fallback():
     rows = bounds_table([3])
-    assert [row.r for row in rows] == [4, 5]
-    assert all(row.new is None for row in rows)
-    assert rows[0].old == 32
+    assert [r for _, r, _, _ in rows] == [4, 5]
+    assert all(new is None for _, _, _, new in rows)
+    assert rows[0][2] == 32
     with pytest.raises(ValueError):
         bounds_table([2])
 
@@ -197,6 +197,17 @@ def test_bounds_table_row_limit(monkeypatch):
     assert len(bounds_table([11, 25, 3])) == 40
     with pytest.raises(ValueError, match="^bounds table would have 41 rows, over the limit 40$"):
         bounds_table([11, 25, 3, 4])
+
+
+def test_bounds_table_rows_match_the_checked_bounds():
+    """Each row is (b, r, old, new) as the checked public functions give them:
+    old_bound up to r = b(b+1)/2 - 1, new_bound from b = 4, None elsewhere."""
+    rows = bounds_table(range(3, 61))
+    assert len(rows) == 3965
+    for b, r, old, new in rows:
+        assert old == (old_bound(b, r) if r <= b * (b + 1) // 2 - 1 else None), (b, r)
+        assert new == (new_bound(b, r) if b >= 4 else None), (b, r)
+    assert all(type(row) is tuple for row in rows)
 
 
 def test_bounds_csv():

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -172,6 +173,26 @@ def test_verify_empty_sequence_is_a_usage_error(tmp_path, capsys):
     path.write_text(C4_JSON)
     rc, out, err = run(capsys, "verify", "--in", str(path), "--sequence", "")
     assert (rc, out, err) == (2, "", "error: expected degree vector has length 0, graph has 2 colours\n")
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["bounds", "--b", "4,,5"], "--b", "4,,5"),
+    (["verify", "--in", "{tmp}/g.json", "--sequence", "4,,5"], "--sequence", "4,,5"),
+    (["verify", "--in", "{tmp}/g.json", "--sequence", "4,5,"], "--sequence", "4,5,"),
+    (["verify", "--in", "{tmp}/g.json", "--sequence", "4, ,5"], "--sequence", "4, ,5"),
+], ids=["bounds-double-comma", "sequence-double-comma", "sequence-trailing-comma",
+        "sequence-blank-part"])
+def test_integer_list_with_an_empty_part_exits_2(tmp_path, capsys, argv, flag, text):
+    run(capsys, "construct-br", "--b", "4", "--r", "5", "--out", str(tmp_path / "g.json"))
+    rc, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (rc, out, err) == (2, "", f"error: {flag} expects comma-separated integers, got {text!r}\n")
+
+
+def test_integer_list_parts_may_be_padded(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    run(capsys, "construct-br", "--b", "4", "--r", "5", "--out", str(path))
+    assert run(capsys, "verify", "--in", str(path), "--sequence", " 4, 5 ")[0] == 0
+    assert run(capsys, "bounds", "--b", "4, 5") == run(capsys, "bounds", "--b", "4,5")
 
 
 def test_verify_malformed_input(tmp_path, capsys):
@@ -521,6 +542,19 @@ def test_bounds_command(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "bounds", "--b", "x")
     assert rc == 2
+
+
+@pytest.mark.parametrize("b_values, digest", [
+    (",".join(map(str, range(3, 61))),
+     "21395be12568a07ffbf8d535d6d54ce4a5a6807ce0002588ad9fb4573e047c4f"),
+    ("3", "fae7affbe1827a1ab95e53ca726767a7bc42240b1a1336c98b5602a08c48a007"),
+], ids=["b3-60", "b3"])
+def test_bounds_bytes_are_pinned(capsys, b_values, digest):
+    """The 3,965-row table of b = 3..60 (the benchmark's reference digest)
+    and the b = 3 fallback, byte for byte."""
+    rc, out, err = run(capsys, "bounds", "--b", b_values)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bounds_unsupported_format_builds_no_table(capsys, monkeypatch):
