@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -68,14 +69,20 @@ def _load_graph(path: str) -> EdgeColouredGraph:
     return EdgeColouredGraph.from_json_dict(_load_json(path))
 
 
+# A list part: an optional sign and ASCII digits. int() alone would also read
+# underscores and non-ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_list(text: str, flag: str) -> list[int]:
-    """The empty string is the empty list; an empty or blank part is refused."""
+    """The empty string is the empty list. Every part, padding stripped, is
+    an optional sign and ASCII digits; an empty or blank part is refused."""
     if text == "":
         return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
+    parts = [part.strip() for part in text.split(",")]
+    if not all(map(_INTEGER.fullmatch, parts)):
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
+    return list(map(int, parts))
 
 
 def _format_vector(values: Sequence[int]) -> str:
@@ -179,7 +186,10 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.format != "csv":
         raise ValueError(f"unsupported format {args.format!r}")
-    _write_text(args.out, bounds_to_csv(bounds_table(_int_list(args.b, "--b"))))
+    b_values = _int_list(args.b, "--b")
+    if not b_values:
+        raise ValueError(f"--b expects comma-separated integers, got {args.b!r}")
+    _write_text(args.out, bounds_to_csv(bounds_table(b_values)))
     return 0
 
 

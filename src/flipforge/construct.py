@@ -4,6 +4,10 @@ Colour handling in the strong product follows the convention that an edge
 between (u, v) and (u', v') inherits the colour of {v, v'} when u = u', and
 the colour of {u, u'} in the first factor otherwise (in particular on the
 diagonal pairs where both coordinates move).
+
+Every builder checks its closed-form edge count, then hands
+``EdgeColouredGraph`` a stream of edges: chained ``zip`` and ``compress``
+iterators over vertex lists and ranges. No builder keeps a per-edge list.
 """
 
 from __future__ import annotations
@@ -157,12 +161,15 @@ def merge_connecting_sets(
 
 
 def _cartesian_edges(g: EdgeColouredGraph, h: EdgeColouredGraph,
-                     diagonal_edges: int = 0) -> tuple[list[list[int]], list[Edge]]:
+                     diagonal_edges: int = 0) -> tuple[list[list[int]], list[Iterator[Edge]]]:
     """Product edges that move exactly one coordinate, each with its factor's colour.
     The edge limit is checked for these plus the caller's ``diagonal_edges``.
 
-    Returns the vertex rows with the edges: vertex (u, v) is ``rows[u][v]``,
-    one int object per vertex shared by every edge that touches it."""
+    Returns the vertex rows with the edge streams: vertex (u, v) is
+    ``rows[u][v]``, one int object per vertex shared by every edge that
+    touches it. Each row gives one stream over the edges of ``h``, then each
+    edge of ``g`` one stream over the pairs of rows it joins; nothing is listed
+    until the constructor reads the streams."""
     if g.colour_count != h.colour_count:
         raise ValueError(
             f"factors must share a colour count, got {g.colour_count} and {h.colour_count}")
@@ -175,33 +182,35 @@ def _cartesian_edges(g: EdgeColouredGraph, h: EdgeColouredGraph,
                       "product")
     vertices = list(range(order))
     rows = [vertices[u * nh:(u + 1) * nh] for u in range(g.vertex_count)]
-    edges = []
-    for row in rows:
-        for v, v2, c in h.edges:
-            edges.append((row[v], row[v2], c))
-    for u, u2, c in g.edges:
-        for a, b in zip(rows[u], rows[u2]):
-            edges.append((a, b, c))
-    return rows, edges
+    hu, hv, hc = tuple(zip(*h.edges)) or ((), (), ())
+    parts = [zip(map(row.__getitem__, hu), map(row.__getitem__, hv), hc) for row in rows]
+    parts += [zip(rows[u], rows[u2], repeat(c)) for u, u2, c in g.edges]
+    return rows, parts
 
 
 def strong_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGraph:
     """Strong product; moved-first-coordinate edges take the first factor's colour.
-    Vertex (u, v) is numbered row-major, u * h.vertex_count + v."""
-    rows, edges = _cartesian_edges(g, h, 2 * g._edge_count() * h._edge_count())
+    Vertex (u, v) is numbered row-major, u * h.vertex_count + v.
+
+    Each edge {v, v2} of ``h`` gives two diagonals per edge {u, u2} of ``g``,
+    ((u, v), (u2, v2)) and ((u, v2), (u2, v)), listed in that order; the
+    columns ``left`` and ``right`` hold them interleaved, so one stream per
+    edge of ``g`` lists all of its diagonals."""
+    rows, parts = _cartesian_edges(g, h, 2 * g._edge_count() * h._edge_count())
+    left = [x for v, v2, _ in h.edges for x in (v, v2)]
+    right = [x for v, v2, _ in h.edges for x in (v2, v)]
     for u, u2, c in g.edges:
-        row, row2 = rows[u], rows[u2]
-        for v, v2, _ in h.edges:
-            edges.append((row[v], row2[v2], c))
-            edges.append((row[v2], row2[v], c))
-    return EdgeColouredGraph(g.vertex_count * h.vertex_count, g.colour_count, edges)
+        parts.append(zip(map(rows[u].__getitem__, left), map(rows[u2].__getitem__, right),
+                         repeat(c)))
+    return EdgeColouredGraph(g.vertex_count * h.vertex_count, g.colour_count,
+                             chain.from_iterable(parts))
 
 
 def cartesian_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGraph:
     """Cartesian product; edges move in exactly one coordinate.
     Vertex (u, v) is numbered row-major, u * h.vertex_count + v."""
     return EdgeColouredGraph(g.vertex_count * h.vertex_count, g.colour_count,
-                             _cartesian_edges(g, h)[1])
+                             chain.from_iterable(_cartesian_edges(g, h)[1]))
 
 
 class PackingDeltaReport(_Record):
@@ -274,8 +283,7 @@ def bipartite_matching_graph(colour_count: int, assignments: Sequence[int]) -> E
     if p < 1:
         raise ValueError("need at least one matching assignment")
     _check_edge_count(p * p, "matching graph")
-    edges = []
-    for d, colour in enumerate(assignments):
-        for i in range(p):
-            edges.append((i, p + (i + d) % p, colour))
-    return EdgeColouredGraph(2 * p, colour_count, edges)
+    # Matching d joins 0..p-d-1 to p+d..2p-1, then wraps to join the rest to p..p+d-1.
+    return EdgeColouredGraph(2 * p, colour_count, chain.from_iterable(
+        zip(range(p), chain(range(p + d, 2 * p), range(p, p + d)), repeat(colour))
+        for d, colour in enumerate(assignments)))

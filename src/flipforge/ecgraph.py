@@ -18,10 +18,12 @@ vertex of a graph is profiled, and its counts are cached on the graph.
 ``profile_by_edge_scan`` never reads that cache; it is the independent
 oracle the pass is checked against.
 
-A graph keeps one {neighbour: colour} dict per vertex. Its sorted edge tuple
-``edges`` is built from those dicts the first time it is read, and cached;
-profiling, verification, writing a graph or DOT file and the edge counts that
-size checks use never read it.
+The constructor reads its edges once, from any iterable of (u, v, colour)
+rows; every builder in ``construct`` hands it a stream and keeps no per-edge
+list. A graph keeps one {neighbour: colour} dict per vertex. Its sorted edge
+tuple ``edges`` is built from those dicts the first time it is read, and
+cached; profiling, verification, writing a graph or DOT file and the edge
+counts that size checks use never read it.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ __all__ = ["EdgeColouredGraph", "VertexColourProfile"]
 Edge = tuple[int, int, int]
 
 # Most edges a builder lists or a graph file holds. Building costs about
-# 1.2-2 us and 130-280 bytes of peak memory per edge (Cayley graphs and strong
-# products, CPython 3.11), so the largest allowed graph builds in about 2 s
-# and under 300 MB. Each builder checks its closed-form edge count before it
-# lists any edge, and a graph file its row count before it converts any row.
+# 1.2-2 us and 85-140 bytes of peak memory per edge (Cayley graphs and
+# products of cycles, CPython 3.11), so the largest allowed graph builds in
+# about 2 s and under 150 MB. Each builder checks its closed-form edge count
+# before it lists any edge, and a graph file its row count before it converts
+# any row.
 EDGE_LIMIT = 10**6
 
 
@@ -100,14 +103,14 @@ class EdgeColouredGraph:
                 f"{vertex_count * colour_count}, over the limit {16 * ENUMERATION_LIMIT}")
         # One {neighbour: colour} dict per vertex; it also collapses repeated edges.
         adj: list[dict[int, int]] = [{} for _ in range(vertex_count)]
-        for item in edges:
-            u, v, c = item
+        # Unpacking in the for target lets a zip stream reuse one row tuple throughout.
+        for u, v, c in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge endpoint out of range: {tuple(item)}")
+                raise ValueError(f"edge endpoint out of range: {(u, v, c)}")
             if u == v:
-                raise ValueError(f"loop edges are not allowed: {tuple(item)}")
+                raise ValueError(f"loop edges are not allowed: {(u, v, c)}")
             if not (1 <= c <= colour_count):
-                raise ValueError(f"colour {c} outside 1..{colour_count}: {tuple(item)}")
+                raise ValueError(f"colour {c} outside 1..{colour_count}: {(u, v, c)}")
             seen = adj[u].setdefault(v, c)
             if seen != c:
                 key = (u, v) if u < v else (v, u)
@@ -164,16 +167,16 @@ class EdgeColouredGraph:
         """Profile of v: degrees from its adjacency, open counts from the
         graph's triangle-listing pass, which runs on the first call only."""
         self._check_vertex(v)
-        deg = [0] * self.colour_count
+        deg = [0] * (self.colour_count + 1)  # indexed by colour; slot 0 is dropped
         for c in self._adj[v].values():
-            deg[c - 1] += 1
+            deg[c] += 1
+        del deg[0]
         try:
             open_counts = self._open[v]
         except AttributeError:
             object.__setattr__(self, "_open", self._count_open())
             open_counts = self._open[v]
-        closed = [o + d for o, d in zip(open_counts, deg)]
-        return VertexColourProfile(v, tuple(deg), tuple(closed), open_counts)
+        return VertexColourProfile(v, tuple(deg), tuple(map(add, open_counts, deg)), open_counts)
 
     def profiles(self) -> Iterator[VertexColourProfile]:
         """Every vertex's profile in vertex order, each made as it is read:
@@ -341,7 +344,8 @@ class EdgeColouredGraph:
 def _open_by_bitsets(adj, order, rank, colour_count) -> list[list[int]]:
     """Open counts from bitset rows: the common higher-ranked neighbours of a
     forward edge u->w are the bits of ``rows[u] & rows[w]``, taken from the
-    top bit down, so the lowest-ranked first."""
+    top bit down, so the lowest-ranked first. Each vertex's counters are
+    indexed by colour, so slot 0 stays unused and is dropped at the end."""
     top = len(order) - 1
     bit_of = [top - r for r in rank]
     rows = []
@@ -353,7 +357,7 @@ def _open_by_bitsets(adj, order, rank, colour_count) -> list[list[int]]:
                 row |= 1 << p
         rows.append(row)
     by_bit = order[::-1]
-    counts = [[0] * colour_count for _ in adj]
+    counts = [[0] * (colour_count + 1) for _ in adj]
     for u, au in enumerate(adj):
         bu = rows[u]
         if not bu:
@@ -368,29 +372,29 @@ def _open_by_bitsets(adj, order, rank, colour_count) -> list[list[int]]:
                 continue
             aw = adj[w]
             cw = counts[w]
-            c -= 1
             while common:
                 p = common.bit_length() - 1
                 common ^= 1 << p
                 x = by_bit[p]
                 counts[x][c] += 1
-                cw[au[x] - 1] += 1
-                cu[aw[x] - 1] += 1
-    return counts
+                cw[au[x]] += 1
+                cu[aw[x]] += 1
+    return [row[1:] for row in counts]
 
 
 def _open_by_dicts(adj, rank, colour_count) -> list[list[int]]:
     """Open counts from forward dicts: the common higher-ranked neighbours of
-    a forward edge u->w are the keys both dicts share."""
+    a forward edge u->w are the keys both dicts share. Counters are indexed
+    by colour, as in ``_open_by_bitsets``."""
     fwd = [{w: c for w, c in nbrs.items() if rank[w] > rank[v]} for v, nbrs in enumerate(adj)]
-    counts = [[0] * colour_count for _ in adj]
+    counts = [[0] * (colour_count + 1) for _ in adj]
     for u, fu in enumerate(fwd):
         cu = counts[u]
         for w, c in fu.items():
             fw = fwd[w]
             cw = counts[w]
             for x in fu.keys() & fw.keys():
-                counts[x][c - 1] += 1
-                cw[fu[x] - 1] += 1
-                cu[fw[x] - 1] += 1
-    return counts
+                counts[x][c] += 1
+                cw[fu[x]] += 1
+                cu[fw[x]] += 1
+    return [row[1:] for row in counts]

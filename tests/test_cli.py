@@ -188,6 +188,19 @@ def test_integer_list_with_an_empty_part_exits_2(tmp_path, capsys, argv, flag, t
     assert (rc, out, err) == (2, "", f"error: {flag} expects comma-separated integers, got {text!r}\n")
 
 
+@pytest.mark.parametrize("text", ["1_1", "\u0664,5"], ids=["underscore", "non-ascii-digit"])
+def test_integer_list_takes_ascii_integers_only(capsys, text):
+    """int() would read these as 11 and 4; a list part is a sign and ASCII digits."""
+    rc, out, err = run(capsys, "bounds", "--b", text)
+    assert (rc, out, err) == (2, "", f"error: --b expects comma-separated integers, got {text!r}\n")
+
+
+def test_bounds_without_b_values_exits_2(capsys):
+    """An empty --b is no table at all, not a header with no rows."""
+    rc, out, err = run(capsys, "bounds", "--b", "")
+    assert (rc, out, err) == (2, "", "error: --b expects comma-separated integers, got ''\n")
+
+
 def test_integer_list_parts_may_be_padded(tmp_path, capsys):
     path = tmp_path / "g.json"
     run(capsys, "construct-br", "--b", "4", "--r", "5", "--out", str(path))

@@ -492,6 +492,18 @@ def test_constructor_names_a_list_row_as_a_tuple(row, message):
         EdgeColouredGraph(3, 1, [row])
     assert str(info.value) == message
 
+@pytest.mark.parametrize("row, message", [
+    ((0, 3, 1), "edge endpoint out of range: (0, 3, 1)"),
+    ((1, 1, 1), "loop edges are not allowed: (1, 1, 1)"),
+    ((0, 1, 2), "colour 2 outside 1..1: (0, 1, 2)"),
+])
+def test_constructor_names_an_iterator_row(row, message):
+    """A row that can be read only once is still named in full."""
+    with pytest.raises(ValueError) as info:
+        EdgeColouredGraph(3, 1, [iter(row)])
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("first", range(4))
 def test_from_json_names_the_first_malformed_row(first):
     bad = [[0, 1], [0, 1, True], [0, "1", 1], [0, 1, 1.0]]
