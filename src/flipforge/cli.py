@@ -81,8 +81,12 @@ def _int_list(text: str, flag: str) -> list[int]:
         return []
     parts = [part.strip() for part in text.split(",")]
     if not all(map(_INTEGER.fullmatch, parts)):
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
+        raise _not_an_int_list(text, flag)
     return list(map(int, parts))
+
+
+def _not_an_int_list(text: str, flag: str) -> ValueError:
+    return ValueError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
 def _format_vector(values: Sequence[int]) -> str:
@@ -188,7 +192,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         raise ValueError(f"unsupported format {args.format!r}")
     b_values = _int_list(args.b, "--b")
     if not b_values:
-        raise ValueError(f"--b expects comma-separated integers, got {args.b!r}")
+        raise _not_an_int_list(args.b, "--b")
     _write_text(args.out, bounds_to_csv(bounds_table(b_values)))
     return 0
 

@@ -6,8 +6,9 @@ the colour of {u, u'} in the first factor otherwise (in particular on the
 diagonal pairs where both coordinates move).
 
 Every builder checks its closed-form edge count, then hands
-``EdgeColouredGraph`` a stream of edges: chained ``zip`` and ``compress``
-iterators over vertex lists and ranges. No builder keeps a per-edge list.
+``EdgeColouredGraph`` a stream of edges: ``zip`` and ``compress`` iterators
+over vertex lists and ranges, made one at a time as the constructor reaches
+them and chained. No builder keeps a per-edge list or a per-edge iterator.
 """
 
 from __future__ import annotations
@@ -160,57 +161,65 @@ def merge_connecting_sets(
         first.spec, merged, max(first.colour_count, second.colour_count))
 
 
-def _cartesian_edges(g: EdgeColouredGraph, h: EdgeColouredGraph,
-                     diagonal_edges: int = 0) -> tuple[list[list[int]], list[Iterator[Edge]]]:
-    """Product edges that move exactly one coordinate, each with its factor's colour.
-    The edge limit is checked for these plus the caller's ``diagonal_edges``.
-
-    Returns the vertex rows with the edge streams: vertex (u, v) is
-    ``rows[u][v]``, one int object per vertex shared by every edge that
-    touches it. Each row gives one stream over the edges of ``h``, then each
-    edge of ``g`` one stream over the pairs of rows it joins; nothing is listed
-    until the constructor reads the streams."""
+def _product(g: EdgeColouredGraph, h: EdgeColouredGraph, strong: bool) -> EdgeColouredGraph:
+    """Strong or Cartesian product, its size checked before any stream is made."""
     if g.colour_count != h.colour_count:
         raise ValueError(
             f"factors must share a colour count, got {g.colour_count} and {h.colour_count}")
-    nh = h.vertex_count
-    order = g.vertex_count * nh
+    order = g.vertex_count * h.vertex_count
     if order > ENUMERATION_LIMIT:
         raise ValueError(
             f"product vertex count {order} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    _check_edge_count(g._edge_count() * nh + h._edge_count() * g.vertex_count + diagonal_edges,
-                      "product")
-    vertices = list(range(order))
-    rows = [vertices[u * nh:(u + 1) * nh] for u in range(g.vertex_count)]
-    hu, hv, hc = tuple(zip(*h.edges)) or ((), (), ())
-    parts = [zip(map(row.__getitem__, hu), map(row.__getitem__, hv), hc) for row in rows]
-    parts += [zip(rows[u], rows[u2], repeat(c)) for u, u2, c in g.edges]
-    return rows, parts
+    mg, mh = g._edge_count(), h._edge_count()
+    diagonal_edges = 2 * mg * mh if strong else 0
+    _check_edge_count(mg * h.vertex_count + mh * g.vertex_count + diagonal_edges, "product")
+    return EdgeColouredGraph(order, g.colour_count,
+                             chain.from_iterable(_product_edges(g, h, strong)))
+
+
+def _product_edges(g: EdgeColouredGraph, h: EdgeColouredGraph,
+                   strong: bool) -> Iterator[Iterator[Edge]]:
+    """The product's edge streams, made one at a time as the constructor reads
+    them: per row u, the edges of ``h`` inside it; per edge {u, u2} of ``g``,
+    the pairs ((u, v), (u2, v)); then, for the strong product, per edge of
+    ``g`` its diagonals. Each edge takes its factor's colour.
+
+    Vertex (u, v) is ``vertices[u * nh + v]``, one int object per vertex
+    shared by every edge that touches it. A stream slices the rows it reads,
+    so the vertex list is all that outlives one."""
+    nh = h.vertex_count
+    vertices = list(range(g.vertex_count * nh))
+
+    def row(u: int) -> list[int]:
+        return vertices[u * nh:(u + 1) * nh]
+
+    hu, hv, hc = ([e[i] for e in h.edges] for i in range(3))
+    # With no edge in h, the rows and the diagonals would give empty streams.
+    if hu:
+        for u in range(g.vertex_count):
+            r = row(u)
+            yield zip(map(r.__getitem__, hu), map(r.__getitem__, hv), hc)
+    for u, u2, c in g.edges:
+        yield zip(row(u), row(u2), repeat(c))
+    if strong and hu:
+        # Each edge {v, v2} of h gives the diagonals ((u, v), (u2, v2)) and
+        # ((u, v2), (u2, v)), in that order: left and right hold them interleaved.
+        left = list(chain.from_iterable(zip(hu, hv)))
+        right = list(chain.from_iterable(zip(hv, hu)))
+        for u, u2, c in g.edges:
+            yield zip(map(row(u).__getitem__, left), map(row(u2).__getitem__, right), repeat(c))
 
 
 def strong_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGraph:
     """Strong product; moved-first-coordinate edges take the first factor's colour.
-    Vertex (u, v) is numbered row-major, u * h.vertex_count + v.
-
-    Each edge {v, v2} of ``h`` gives two diagonals per edge {u, u2} of ``g``,
-    ((u, v), (u2, v2)) and ((u, v2), (u2, v)), listed in that order; the
-    columns ``left`` and ``right`` hold them interleaved, so one stream per
-    edge of ``g`` lists all of its diagonals."""
-    rows, parts = _cartesian_edges(g, h, 2 * g._edge_count() * h._edge_count())
-    left = [x for v, v2, _ in h.edges for x in (v, v2)]
-    right = [x for v, v2, _ in h.edges for x in (v2, v)]
-    for u, u2, c in g.edges:
-        parts.append(zip(map(rows[u].__getitem__, left), map(rows[u2].__getitem__, right),
-                         repeat(c)))
-    return EdgeColouredGraph(g.vertex_count * h.vertex_count, g.colour_count,
-                             chain.from_iterable(parts))
+    Vertex (u, v) is numbered row-major, u * h.vertex_count + v."""
+    return _product(g, h, strong=True)
 
 
 def cartesian_product(g: EdgeColouredGraph, h: EdgeColouredGraph) -> EdgeColouredGraph:
     """Cartesian product; edges move in exactly one coordinate.
     Vertex (u, v) is numbered row-major, u * h.vertex_count + v."""
-    return EdgeColouredGraph(g.vertex_count * h.vertex_count, g.colour_count,
-                             chain.from_iterable(_cartesian_edges(g, h)[1]))
+    return _product(g, h, strong=False)
 
 
 class PackingDeltaReport(_Record):

@@ -41,12 +41,15 @@ __all__ = ["EdgeColouredGraph", "VertexColourProfile"]
 
 Edge = tuple[int, int, int]
 
-# Most edges a builder lists or a graph file holds. Building costs about
-# 1.2-2 us and 85-140 bytes of peak memory per edge (Cayley graphs and
-# products of cycles, CPython 3.11), so the largest allowed graph builds in
-# about 2 s and under 150 MB. Each builder checks its closed-form edge count
-# before it lists any edge, and a graph file its row count before it converts
-# any row.
+# Most edges a builder lists or a graph file holds. Building takes about
+# 0.3-1.2 us per edge (CPython 3.11), and its peak memory is mostly the
+# finished graph's per-vertex dicts: 100-140 bytes per edge on Cayley graphs
+# and products of cycles, 110-180 on a path times K2 and up to 340 on a path
+# times K1, which has about one edge per vertex. So the largest allowed graph
+# builds in about 1 s, and in under 150 MB when its vertices have several
+# edges each (under 350 MB at worst). Each builder checks its closed-form edge
+# count before it lists any edge, and a graph file its row count before it
+# converts any row.
 EDGE_LIMIT = 10**6
 
 
@@ -379,7 +382,9 @@ def _open_by_bitsets(adj, order, rank, colour_count) -> list[list[int]]:
                 counts[x][c] += 1
                 cw[au[x]] += 1
                 cu[aw[x]] += 1
-    return [row[1:] for row in counts]
+    for row in counts:
+        del row[0]
+    return counts
 
 
 def _open_by_dicts(adj, rank, colour_count) -> list[list[int]]:
@@ -397,4 +402,6 @@ def _open_by_dicts(adj, rank, colour_count) -> list[list[int]]:
                 counts[x][c] += 1
                 cw[fu[x]] += 1
                 cu[fw[x]] += 1
-    return [row[1:] for row in counts]
+    for row in counts:
+        del row[0]
+    return counts

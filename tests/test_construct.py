@@ -316,6 +316,10 @@ def cycle(n, colours=2):
     return EdgeColouredGraph(n, colours, [(i, (i + 1) % n, 1 + i % colours) for i in range(n)])
 
 
+def path(n, colours=2):
+    return EdgeColouredGraph(n, colours, [(i, i + 1, 1 + i % colours) for i in range(n - 1)])
+
+
 @pytest.mark.parametrize("product", [strong_product, cartesian_product])
 def test_product_shares_one_int_per_vertex(product):
     """600 vertices, so most ids are past the interpreter's small-int cache."""
@@ -403,20 +407,25 @@ def test_products_match_the_coordinate_definition(factors):
     assert cartesian_product(g, h).edges == product_edges_by_coordinates(g, h, strong=False)
 
 
-@pytest.mark.parametrize("product", [strong_product, cartesian_product])
-def test_product_streams_its_edges(product):
-    """The builders list no edge: building the 48,000-edge strong product (or
-    the 24,000-edge Cartesian one) of two cycles peaks under 16 bytes per edge
-    above the finished graph, where a list of edge tuples would take 64."""
-    g, h = cycle(60), cycle(200)
+@pytest.mark.parametrize("product, shape, edges", [
+    (strong_product, "cycles", 48_000),
+    (cartesian_product, "cycles", 24_000),
+    (strong_product, "path-by-K2", 99_996),
+    (cartesian_product, "path-by-K2", 59_998),
+])
+def test_product_streams_its_edges(product, shape, edges):
+    """The builders list no edge: building a product peaks under 16 bytes per
+    edge above the finished graph, where a list of edge tuples would take 64.
+    The path of 20,000 vertices times K2 gives a short stream per row and per
+    edge of the path; only one exists at a time."""
+    g, h = (cycle(60), cycle(200)) if shape == "cycles" else (path(20_000), K2_BLUE)
     tracemalloc.start()
     try:
         graph = product(g, h)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    edges = graph._edge_count()
-    assert edges == (48_000 if product is strong_product else 24_000)
+    assert graph._edge_count() == edges
     assert peak - retained < 16 * edges
 
 

@@ -492,6 +492,7 @@ def test_constructor_names_a_list_row_as_a_tuple(row, message):
         EdgeColouredGraph(3, 1, [row])
     assert str(info.value) == message
 
+
 @pytest.mark.parametrize("row, message", [
     ((0, 3, 1), "edge endpoint out of range: (0, 3, 1)"),
     ((1, 1, 1), "loop edges are not allowed: (1, 1, 1)"),
