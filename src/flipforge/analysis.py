@@ -170,7 +170,9 @@ def bounds_table(b_values: Sequence[int]) -> list[tuple[int, int, Optional[int],
     bounds are defined.  b = 3 falls back to the classical range with the
     new-bound cell left empty, since the construction needs b >= 4. Tables
     over 10^6 rows are refused before any row is built. Each b is checked
-    once and r visits only valid pairs, so the rows call the bare formulas.
+    once and r visits only valid pairs, so each b's rows come from one
+    comprehension over the bare formulas, with the parts that depend on b
+    alone worked out once.
     """
     for b in b_values:
         if b < 3:
@@ -179,23 +181,29 @@ def bounds_table(b_values: Sequence[int]) -> list[tuple[int, int, Optional[int],
     if row_count > ENUMERATION_LIMIT:
         raise ValueError(
             f"bounds table would have {row_count} rows, over the limit {ENUMERATION_LIMIT}")
-    rows = []
+    rows: list[tuple[int, int, Optional[int], Optional[int]]] = []
     for b in b_values:
-        old_hi = b * (b + 1) // 2 - 1
-        r_hi = new_bound_cap(b) - 1 if b >= 4 else old_hi
-        for r in range(b + 1, r_hi + 1):
-            old = _old_bound(b, r) if r <= old_hi else None
-            new = _new_bound(b, r) if b >= 4 else None
-            rows.append((b, r, old, new))
+        if b == 3:
+            rows += [(3, r, _old_bound(3, r), None) for r in (4, 5)]
+            continue
+        # _old_bound is 2 (r + b + 1 - s) s, with s from the square root below.
+        # _new_bound is 8 p (r // 2 + half), where the parity factor p is 2 when
+        # b and r are both odd, else 1. The new cap, b + 2 floor((b + 2) / 6)^2,
+        # is at most b + (b + 2)^2 / 18 <= b (b + 1) / 2, so the old bound holds
+        # on every row.
+        half = 2 + (b + 2) // 2 - 2 * ((b + 2) // 6)
+        rows += [(b, r, 2 * (r + b + 1 - s) * s, 8 * (1 + (b & r & 1)) * (r // 2 + half))
+                 for r in range(b + 1, new_bound_cap(b))
+                 for s in [(5 + math.isqrt(1 + 8 * (r - b))) // 2]]
     return rows
 
 
 def bounds_to_csv(rows: Sequence[tuple[int, int, Optional[int], Optional[int]]]) -> str:
     """CSV with header b,r,old_bound,new_bound; absent values are empty cells.
     Every cell is an integer or empty, so none needs quoting."""
-    return "b,r,old_bound,new_bound\n" + "".join(
+    return "b,r,old_bound,new_bound\n" + "".join([
         f"{b},{r},{'' if old is None else old},{'' if new is None else new}\n"
-        for b, r, old, new in rows)
+        for b, r, old, new in rows])
 
 
 EXHAUSTIVE_ORDER_CAP = 24

@@ -15,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .analysis import bounds_table, bounds_to_csv, search_sumfree_inverse_closed, verify_flip
@@ -39,7 +40,36 @@ from .setalg import GroupSubset, json_value
 
 
 def _dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    from ``_json_text``. ``indent`` makes ``json.dumps`` fall back to its
+    pure-Python encoder, which makes several calls per list item."""
+    return _json_text(data, "") + "\n"
+
+
+def _json_text(value: object, indent: str) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` lays it out when
+    it starts at a line indented by ``indent``. Each list, tuple or dict is
+    one ``str.join`` of its items at the next indent; an int item is written
+    in place with ``int.__repr__``, with no call. Strings and dict keys go
+    through the C string encoder, which refuses a key that is not a str, and
+    other scalars through ``json.dumps``. Lists come first: a plan holds
+    hundreds of two-item lists and few other values."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join([
+            int.__repr__(x) if type(x) is int else _json_text(x, inner) for x in value]), indent)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join([
+            _quote(k) + ": " + (int.__repr__(v) if type(v) is int else _json_text(v, inner))
+            for k, v in sorted(value.items())]), indent)
+    if type(value) is str:
+        return _quote(value)
+    return json.dumps(value)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -69,20 +99,33 @@ def _load_graph(path: str) -> EdgeColouredGraph:
     return EdgeColouredGraph.from_json_dict(_load_json(path))
 
 
-# A list part: an optional sign and ASCII digits. int() alone would also read
-# underscores and non-ASCII digits.
+# An integer flag or list part: an optional sign and ASCII digits. int() alone
+# would also read underscores and non-ASCII digits.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _int(text: str) -> int:
+    """The argparse type of every integer flag: padding stripped, an optional
+    sign and ASCII digits."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+# argparse names the type in its error: "invalid int value: '...'".
+_int.__name__ = "int"
+
+
 def _int_list(text: str, flag: str) -> list[int]:
-    """The empty string is the empty list. Every part, padding stripped, is
-    an optional sign and ASCII digits; an empty or blank part is refused."""
+    """The empty string is the empty list. Every part is read by ``_int``;
+    an empty or blank part is refused."""
     if text == "":
         return []
-    parts = [part.strip() for part in text.split(",")]
-    if not all(map(_INTEGER.fullmatch, parts)):
-        raise _not_an_int_list(text, flag)
-    return list(map(int, parts))
+    try:
+        return [_int(part) for part in text.split(",")]
+    except ValueError:
+        raise _not_an_int_list(text, flag) from None
 
 
 def _not_an_int_list(text: str, flag: str) -> ValueError:
@@ -243,8 +286,8 @@ def _cmd_search_sumfree(args: argparse.Namespace) -> int:
 
 
 def _configure_construct_br(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--b", type=_int, required=True)
+    p.add_argument("--r", type=_int, required=True)
     p.add_argument("--out", help="graph JSON path ('-' for stdout)")
     p.add_argument("--plan-out", dest="plan_out", help="plan JSON path")
     p.add_argument("--dot", help="DOT export path")
@@ -271,7 +314,7 @@ def _configure_cayley(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True, help="e.g. z:40 or z:2,28")
     p.add_argument("--class", dest="colour_class", action="append", required=True,
                    metavar="SPEC", help="colour=elem;elem;... (residues comma-separated)")
-    p.add_argument("--colours", type=int, help="total colour count (default: largest class colour)")
+    p.add_argument("--colours", type=_int, help="total colour count (default: largest class colour)")
     p.add_argument("--out")
     p.add_argument("--dot")
     p.set_defaults(func=_cmd_cayley)
@@ -301,13 +344,13 @@ def _configure_bounds(p: argparse.ArgumentParser) -> None:
 
 
 def _configure_gaps_plan(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--q", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--from-br", dest="from_br", help="b,r: build the two-colour prefix and use its profile")
     p.add_argument("--prefix-e", dest="prefix_e", help="closed counts on colours 1..q")
     p.add_argument("--prefix-deg", dest="prefix_deg", help="degrees on colours 1..q")
-    p.add_argument("--t", type=int, help="matching multiplicity override")
-    p.add_argument("--materialize-limit", dest="materialize_limit", type=int,
+    p.add_argument("--t", type=_int, help="matching multiplicity override")
+    p.add_argument("--materialize-limit", dest="materialize_limit", type=_int,
                    default=DEFAULT_MATERIALIZE_LIMIT)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gaps_plan)
@@ -316,7 +359,7 @@ def _configure_gaps_plan(p: argparse.ArgumentParser) -> None:
 def _configure_search_sumfree(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True)
     p.add_argument("--mode", choices=("exhaustive", "greedy"), default="exhaustive")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_int)
     p.set_defaults(func=_cmd_search_sumfree)
 
 

@@ -182,7 +182,8 @@ def _product_edges(g: EdgeColouredGraph, h: EdgeColouredGraph,
     """The product's edge streams, made one at a time as the constructor reads
     them: per row u, the edges of ``h`` inside it; per edge {u, u2} of ``g``,
     the pairs ((u, v), (u2, v)); then, for the strong product, per edge of
-    ``g`` its diagonals. Each edge takes its factor's colour.
+    ``g`` its diagonals. Each edge takes its factor's colour. The factors'
+    edges are read from their adjacency, so neither builds ``edges``.
 
     Vertex (u, v) is ``vertices[u * nh + v]``, one int object per vertex
     shared by every edge that touches it. A stream slices the rows it reads,
@@ -193,20 +194,21 @@ def _product_edges(g: EdgeColouredGraph, h: EdgeColouredGraph,
     def row(u: int) -> list[int]:
         return vertices[u * nh:(u + 1) * nh]
 
-    hu, hv, hc = ([e[i] for e in h.edges] for i in range(3))
-    # With no edge in h, the rows and the diagonals would give empty streams.
+    # h's edge columns; with no edge in h, the rows and the diagonals would
+    # give empty streams.
+    hu, hv, hc = list(zip(*h._edge_stream())) or ((), (), ())
     if hu:
         for u in range(g.vertex_count):
             r = row(u)
             yield zip(map(r.__getitem__, hu), map(r.__getitem__, hv), hc)
-    for u, u2, c in g.edges:
+    for u, u2, c in g._edge_stream():
         yield zip(row(u), row(u2), repeat(c))
     if strong and hu:
         # Each edge {v, v2} of h gives the diagonals ((u, v), (u2, v2)) and
         # ((u, v2), (u2, v)), in that order: left and right hold them interleaved.
         left = list(chain.from_iterable(zip(hu, hv)))
         right = list(chain.from_iterable(zip(hv, hu)))
-        for u, u2, c in g.edges:
+        for u, u2, c in g._edge_stream():
             yield zip(map(row(u).__getitem__, left), map(row(u2).__getitem__, right), repeat(c))
 
 

@@ -22,8 +22,9 @@ The constructor reads its edges once, from any iterable of (u, v, colour)
 rows; every builder in ``construct`` hands it a stream and keeps no per-edge
 list. A graph keeps one {neighbour: colour} dict per vertex. Its sorted edge
 tuple ``edges`` is built from those dicts the first time it is read, and
-cached; profiling, verification, writing a graph or DOT file and the edge
-counts that size checks use never read it.
+cached; profiling, verification, writing a graph or DOT file, the edge
+counts that size checks use and the builders that read a graph (products,
+``with_colour_count``, colour merging) never read it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from itertools import chain
+from itertools import chain, compress, repeat
 from operator import add
 from typing import Callable, Iterable, Iterator
 
@@ -133,6 +134,14 @@ class EdgeColouredGraph:
                           for v in sorted(nbrs) if v > u)
             object.__setattr__(self, "_edges", edges)
             return edges
+
+    def _edge_stream(self) -> Iterator[Edge]:
+        """Every edge once as (u, v, colour) with u < v, in adjacency order,
+        not sorted: per vertex u, C-level iterators over its dict. Builders
+        that copy a graph read this, so ``edges`` is never built for them."""
+        return chain.from_iterable(
+            compress(zip(repeat(u), nbrs, nbrs.values()), map(u.__lt__, nbrs))
+            for u, nbrs in enumerate(self._adj))
 
     def _edge_count(self) -> int:
         """len(edges), from the adjacency sizes, without building the edges."""
@@ -244,7 +253,7 @@ class EdgeColouredGraph:
         """Same edges, wider colour range."""
         if colour_count < self.colour_count:
             raise ValueError(f"cannot shrink colour count {self.colour_count} to {colour_count}")
-        return EdgeColouredGraph(self.vertex_count, colour_count, self.edges)
+        return EdgeColouredGraph(self.vertex_count, colour_count, self._edge_stream())
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):

@@ -594,7 +594,7 @@ def colour_merge(g: EdgeColouredGraph, partition: Sequence[Sequence[int]]) -> Ed
     colour_map = {c: i + 1 for i, p in enumerate(parts) for c in p}
     merged = EdgeColouredGraph(
         g.vertex_count, len(parts),
-        [(u, v, colour_map[c]) for u, v, c in g.edges])
+        ((u, v, colour_map[c]) for u, v, c in g._edge_stream()))
     sums = ((tuple(sum(old.deg[c - 1] for c in p) for p in parts),
              tuple(sum(old.e_closed[c - 1] for c in p) for p in parts))
             for old in g.profiles())

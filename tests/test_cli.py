@@ -195,6 +195,37 @@ def test_integer_list_takes_ascii_integers_only(capsys, text):
     assert (rc, out, err) == (2, "", f"error: --b expects comma-separated integers, got {text!r}\n")
 
 
+# Every integer flag: the command's other required flags, the flag, its dest.
+INT_FLAGS = [
+    (["construct-br", "--r", "5"], "--b", "b"),
+    (["construct-br", "--b", "4"], "--r", "r"),
+    (["gaps-plan", "--k", "9"], "--q", "q"),
+    (["gaps-plan", "--q", "2"], "--k", "k"),
+    (["gaps-plan", "--q", "2", "--k", "9"], "--t", "t"),
+    (["gaps-plan", "--q", "2", "--k", "9"], "--materialize-limit", "materialize_limit"),
+    (["cayley", "--group", "z:6", "--class", "1=1;5"], "--colours", "colours"),
+    (["search-sumfree", "--group", "z:6"], "--budget", "budget"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, dest", INT_FLAGS, ids=[flag for _, flag, _ in INT_FLAGS])
+@pytest.mark.parametrize("text", ["0_4", "\u0665"], ids=["underscore", "non-ascii-digit"])
+def test_integer_flags_take_ascii_integers_only(capsys, argv, flag, dest, text):
+    """int() would read these as 4 and 5; a flag is a sign and ASCII digits,
+    and argparse still names the type int."""
+    with pytest.raises(SystemExit) as info:
+        main([*argv, flag, text])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: invalid int value: {text!r}\n")
+
+
+@pytest.mark.parametrize("argv, flag, dest", INT_FLAGS, ids=[flag for _, flag, _ in INT_FLAGS])
+def test_integer_flags_may_be_padded(argv, flag, dest):
+    argv = [*argv, flag, " 4 "]
+    assert getattr(cli._build_parser(argv).parse_args(argv), dest) == 4
+
+
 def test_bounds_without_b_values_exits_2(capsys):
     """An empty --b is no table at all, not a header with no rows."""
     rc, out, err = run(capsys, "bounds", "--b", "")

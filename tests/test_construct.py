@@ -321,6 +321,15 @@ def path(n, colours=2):
 
 
 @pytest.mark.parametrize("product", [strong_product, cartesian_product])
+def test_product_leaves_the_factors_edges_unbuilt(product):
+    """The products read their factors' adjacency, so neither factor builds
+    and keeps its sorted edge tuple."""
+    g, h = cycle(20), cycle(30)
+    product(g, h)
+    assert not hasattr(g, "_edges") and not hasattr(h, "_edges")
+
+
+@pytest.mark.parametrize("product", [strong_product, cartesian_product])
 def test_product_shares_one_int_per_vertex(product):
     """600 vertices, so most ids are past the interpreter's small-int cache."""
     g = product(cycle(20), cycle(30))

@@ -347,6 +347,13 @@ def test_with_colour_count():
         g.with_colour_count(1)
 
 
+def test_with_colour_count_leaves_the_edges_unbuilt():
+    g = EdgeColouredGraph(4, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)])
+    wide = g.with_colour_count(3)
+    assert not hasattr(g, "_edges")
+    assert wide.edges == g.edges
+
+
 def test_json_round_trip():
     rng = random.Random(4246)
     for _ in range(20):

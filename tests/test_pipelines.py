@@ -552,6 +552,13 @@ def test_colour_merge_identity_and_swap():
     assert swapped.vertex_profile(0).deg == (5, 4)
 
 
+def test_colour_merge_leaves_the_edges_unbuilt():
+    graph, _ = build_br(plan_br(4, 5))
+    merged = colour_merge(graph, [(1, 2)])
+    assert not hasattr(graph, "_edges")
+    assert merged.edges == tuple((u, v, 1) for u, v, _ in graph.edges)
+
+
 def test_colour_merge_additivity_random():
     rng = random.Random(31)
     for _ in range(30):
