@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
@@ -27,7 +26,7 @@ from .construct import (
     strong_product,
 )
 from .ecgraph import EdgeColouredGraph
-from .group import parse_group_text
+from .group import _int, parse_group_text
 from .pipelines import (
     DEFAULT_MATERIALIZE_LIMIT,
     VerificationError,
@@ -99,24 +98,6 @@ def _load_graph(path: str) -> EdgeColouredGraph:
     return EdgeColouredGraph.from_json_dict(_load_json(path))
 
 
-# An integer flag or list part: an optional sign and ASCII digits. int() alone
-# would also read underscores and non-ASCII digits.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-def _int(text: str) -> int:
-    """The argparse type of every integer flag: padding stripped, an optional
-    sign and ASCII digits."""
-    text = text.strip()
-    if not _INTEGER.fullmatch(text):
-        raise ValueError(text)
-    return int(text)
-
-
-# argparse names the type in its error: "invalid int value: '...'".
-_int.__name__ = "int"
-
-
 def _int_list(text: str, flag: str) -> list[int]:
     """The empty string is the empty list. Every part is read by ``_int``;
     an empty or blank part is refused."""
@@ -142,7 +123,7 @@ def _parse_class_flag(spec_text: str, flag: str) -> tuple[int, list]:
     if not sep or not head.strip() or not tail.strip():
         raise ValueError(f"{flag} expects 'colour=elem;elem;...', got {spec_text!r}")
     try:
-        colour = int(head)
+        colour = _int(head)
     except ValueError:
         raise ValueError(f"{flag} colour must be an integer, got {head!r}") from None
     elements: list = []
@@ -151,7 +132,7 @@ def _parse_class_flag(spec_text: str, flag: str) -> tuple[int, list]:
         if not token:
             continue
         try:
-            elements.append(tuple(map(int, token.split(","))) if "," in token else int(token))
+            elements.append(tuple(map(_int, token.split(","))) if "," in token else _int(token))
         except ValueError:
             raise ValueError(f"{flag} residues must be integers, got {token!r}") from None
     if not elements:
@@ -171,8 +152,8 @@ def _cmd_construct_br(args: argparse.Namespace) -> int:
     if args.plan_out:
         _write_text(args.plan_out, _dump_json(plan.to_json_dict()))
     if args.out:
-        _emit_graph(graph, args.out, args.dot)
-    elif args.dot:
+        _write_text(args.out, graph.to_json())
+    if args.dot:
         _write_text(args.dot, graph.to_dot())
     print(f"order {graph.vertex_count}")
     if args.verify:

@@ -18,7 +18,7 @@ from operator import itemgetter, lt
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .ecgraph import Edge, EdgeColouredGraph, _check_edge_count
-from .group import ENUMERATION_LIMIT, GroupSpec, _Record, parse_group_text
+from .group import GroupSpec, _Record, _check_limit, _int, parse_group_text
 from .setalg import GroupSubset, is_inverse_closed, sumset
 
 __all__ = ["ColouredConnectingSet", "PackingDeltaReport", "bipartite_matching_graph",
@@ -98,7 +98,7 @@ class ColouredConnectingSet(_Record):
                 if type(e) is not list or any(type(x) is not int for x in e):
                     raise ValueError(f"malformed element {e!r} in class {colour}")
             try:
-                c = int(colour)
+                c = _int(colour)
             except ValueError:
                 raise ValueError(f"class key {colour!r} is not an integer colour") from None
             if c in classes:
@@ -167,9 +167,7 @@ def _product(g: EdgeColouredGraph, h: EdgeColouredGraph, strong: bool) -> EdgeCo
         raise ValueError(
             f"factors must share a colour count, got {g.colour_count} and {h.colour_count}")
     order = g.vertex_count * h.vertex_count
-    if order > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"product vertex count {order} exceeds enumeration limit {ENUMERATION_LIMIT}")
+    _check_limit(order, "product vertex count {}")
     mg, mh = g._edge_count(), h._edge_count()
     diagonal_edges = 2 * mg * mh if strong else 0
     _check_edge_count(mg * h.vertex_count + mh * g.vertex_count + diagonal_edges, "product")

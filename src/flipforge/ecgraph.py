@@ -36,7 +36,7 @@ from itertools import chain, compress, repeat
 from operator import add
 from typing import Callable, Iterable, Iterator
 
-from .group import ENUMERATION_LIMIT, _Record
+from .group import ENUMERATION_LIMIT, _Record, _check_limit
 
 __all__ = ["EdgeColouredGraph", "VertexColourProfile"]
 
@@ -92,15 +92,11 @@ class EdgeColouredGraph:
     def __init__(self, vertex_count: int, colour_count: int, edges: Iterable[Edge]):
         if vertex_count < 0:
             raise ValueError(f"vertex count must be >= 0, got {vertex_count}")
-        if vertex_count > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"vertex count {vertex_count} exceeds enumeration limit {ENUMERATION_LIMIT}")
+        _check_limit(vertex_count, "vertex count {}")
         if colour_count < 1:
             raise ValueError(f"colour count must be >= 1, got {colour_count}")
         # Profiles hold k counters per vertex and the open-count pass one row of k per vertex.
-        if colour_count > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"colour count {colour_count} exceeds enumeration limit {ENUMERATION_LIMIT}")
+        _check_limit(colour_count, "colour count {}")
         if vertex_count * colour_count > 16 * ENUMERATION_LIMIT:
             raise ValueError(
                 f"vertex count {vertex_count} times colour count {colour_count} is "

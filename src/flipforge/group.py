@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = ["GroupSpec", "cyclic", "parse_group_text"]
@@ -16,6 +17,31 @@ GroupElement = tuple[int, ...]
 ElementLike = Union[int, Sequence[int]]
 
 ENUMERATION_LIMIT = 10**6
+
+# An integer in text: an optional sign and ASCII digits. int() alone would
+# also read underscores and non-ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """The one reader of integers in text (group specs, class keys and every
+    CLI integer): padding stripped, an optional sign and ASCII digits."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+# The CLI passes _int to argparse as a type, and argparse names the type in its
+# error: "invalid int value: '...'".
+_int.__name__ = "int"
+
+
+def _check_limit(count: int, label: str) -> None:
+    """Raise when ``count`` exceeds the enumeration limit; ``label`` is the
+    message's subject with ``{}`` where the count goes."""
+    if count > ENUMERATION_LIMIT:
+        raise ValueError(f"{label.format(count)} exceeds enumeration limit {ENUMERATION_LIMIT}")
 
 
 class _Record:
@@ -182,9 +208,7 @@ class GroupSpec(_Record):
 
     def check_enumerable(self) -> None:
         """Raise when the group is too large to list; run before any per-element allocation."""
-        if self.order > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"group order {self.order} exceeds enumeration limit {ENUMERATION_LIMIT}")
+        _check_limit(self.order, "group order {}")
 
     def elements(self) -> Iterator[GroupElement]:
         """Enumerate all elements in lexicographic order, identity first."""
@@ -203,22 +227,20 @@ def cyclic(n: int) -> GroupSpec:
 
 
 def parse_group_text(text: str) -> GroupSpec:
-    """Parse forms like ``z:40``, ``z:2,28`` and the alias ``z2xz:28``."""
+    """Parse forms like ``z:40``, ``z:2,28`` and the alias ``z2xz:28``; every
+    factor is read by ``_int``."""
     body = text.strip().lower()
     if body.startswith("z2xz:"):
-        tail = body[len("z2xz:"):]
-        if not tail.isdigit():
-            raise ValueError(f"malformed group spec {text!r}")
-        return GroupSpec((2, int(tail)))
-    if body.startswith("z:"):
-        tail = body[len("z:"):]
-        parts = tail.split(",")
-        try:
-            factors = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"malformed group spec {text!r}") from None
-        return GroupSpec(factors)
-    raise ValueError(f"malformed group spec {text!r}, expected 'z:n', 'z:a,b,...' or 'z2xz:n'")
+        head, parts = (2,), [body[len("z2xz:"):]]
+    elif body.startswith("z:"):
+        head, parts = (), body[len("z:"):].split(",")
+    else:
+        raise ValueError(f"malformed group spec {text!r}, expected 'z:n', 'z:a,b,...' or 'z2xz:n'")
+    try:
+        factors = tuple(map(_int, parts))
+    except ValueError:
+        raise ValueError(f"malformed group spec {text!r}") from None
+    return GroupSpec(head + factors)
 
 
 def format_elements(elements: Iterable[GroupElement]) -> list[list[int]]:

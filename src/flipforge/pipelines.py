@@ -24,7 +24,7 @@ from .construct import (
     strong_product,
 )
 from .ecgraph import EdgeColouredGraph
-from .group import ENUMERATION_LIMIT, GroupSpec, _Record, cyclic
+from .group import GroupSpec, _Record, _check_limit, cyclic
 from .setalg import (
     GroupSubset,
     ResidueInterval,
@@ -84,8 +84,7 @@ def plan_br(b: int, r: int) -> BrPlan:
     enumeration limit are refused before any set is built.
     """
     order = new_bound(b, r)
-    if order > ENUMERATION_LIMIT:
-        raise ValueError(f"group order {order} exceeds enumeration limit {ENUMERATION_LIMIT}")
+    _check_limit(order, "group order {}")
     blue_double_size = (b + 2) // 6
     blue_base_size = (b + 2) // 2 - 2 * blue_double_size
     red_base_size = r // 2
@@ -387,10 +386,10 @@ def _make_gaps_plan(
 ) -> GapsPlan:
     if q < 1:
         raise ValueError(f"q must be >= 1, got q={q}")
-    if k > ENUMERATION_LIMIT:
-        raise ValueError(f"colour count k={k} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    prefix_e = tuple(int(x) for x in prefix_e)
-    prefix_deg = tuple(int(x) for x in prefix_deg)
+    _check_limit(k, "colour count k={}")
+    prefix_e, prefix_deg = tuple(prefix_e), tuple(prefix_deg)
+    if any(type(x) is not int for x in prefix_e + prefix_deg):
+        raise ValueError(f"prefix vectors must hold integers, got {prefix_e} and {prefix_deg}")
     if len(prefix_e) != q or len(prefix_deg) != q:
         raise ValueError(f"prefix vectors must have length q={q}")
     if any(prefix_e[i] <= prefix_e[i + 1] for i in range(q - 1)):
@@ -492,7 +491,7 @@ def plan_gaps(
     positive slack, t_override below t_min, a chain that is not strictly
     monotone) raises one ValueError that lists every entry of
     GapsPlan.problems, joined by "; ". Malformed input (k above the
-    enumeration limit, prefix vectors of the wrong length or order, fewer
+    enumeration limit, prefix vectors of the wrong type, length or order, fewer
     than two amplified colours, or t < 1) raises on its own.
     """
     return _make_gaps_plan(q, k, prefix_e, prefix_deg, t_override, prefix_order, enforce=True)

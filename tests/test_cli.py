@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -416,6 +417,32 @@ def test_cayley_non_integer_residue_names_flag_and_token(capsys, group, token):
     rc, out, err = run(capsys, "cayley", "--group", group, "--class", f"1={token}")
     assert (rc, out) == (2, "")
     assert err == f"error: --class residues must be integers, got {token!r}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cayley", "--group", "z:7", "--class", "0_1=1;6"], "--class colour must be an integer, got '0_1'"),
+    (["cayley", "--group", "z:7", "--class", "1=\u0661;\u0666"],
+     "--class residues must be integers, got '\u0661'"),
+    (["cayley", "--group", "z:\u0667", "--class", "1=1;6"], "malformed group spec 'z:\u0667'"),
+    (["search-sumfree", "--group", "z:1_2"], "malformed group spec 'z:1_2'"),
+    (["search-sumfree", "--group", "z2xz:\u00b2"], "malformed group spec 'z2xz:\u00b2'"),
+], ids=["class-colour-underscore", "class-residue-non-ascii", "group-non-ascii",
+        "group-underscore", "z2xz-superscript"])
+def test_group_and_class_text_take_ascii_integers_only(capsys, argv, message):
+    """int() would read 0_1 as colour 1, the residues as 1 and 6 and the groups
+    as Z_7 and Z_12; every integer in group or class text follows the flags' rule."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_pack_class_key_takes_ascii_integers_only(tmp_path, capsys):
+    """int() would read the key 1_0 as colour 10."""
+    (tmp_path / "first.json").write_text(json.dumps(
+        {"group": "z:40", "colour_count": 2, "classes": {"1_0": [[9], [31]]}}))
+    (tmp_path / "second.json").write_text(json.dumps(RED_SET))
+    rc, out, err = run(capsys, "pack", "--first", str(tmp_path / "first.json"),
+                       "--second", str(tmp_path / "second.json"))
+    assert (rc, out, err) == (2, "", "error: class key '1_0' is not an integer colour\n")
 
 
 def test_pack_command(tmp_path, capsys):
@@ -861,3 +888,158 @@ def test_pack_input_contract(texts):
     else:
         assert rc == 0 and err == "", (rc, err)
         assert EdgeColouredGraph.from_json(out) == packed
+
+
+# -------------------------------------------------------- argv contract fuzzing
+
+NON_ASCII_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+# Texts int() would read but the integer rule refuses, drawn for every valued flag.
+ODD_TOKENS = st.sampled_from(["z:1_2", "z:\u0667", "z2xz:\u00b2", "1_0=1;6"])
+
+
+def mangled(token):
+    """``token`` padded, with a sign on its first number, underscored, with
+    non-ASCII digits, with its first number made huge, or empty."""
+    def first_number(replacement):
+        return re.sub(r"[0-9]+", replacement, token, count=1)
+    return st.sampled_from([
+        f" {token} ", first_number(r"+\g<0>"), first_number(r"-\g<0>"),
+        re.sub(r"([0-9])([0-9])", r"\1_\2", token, count=1), token.translate(NON_ASCII_DIGITS),
+        first_number("9" * 20), ""])
+
+
+def values(valid):
+    """A flag's value: a valid one two times in three, else a valid one mangled
+    or an odd token."""
+    return st.integers(0, 5).flatmap(
+        lambda i: valid if i < 4 else valid.flatmap(mangled) if i == 4 else ODD_TOKENS)
+
+
+def ints(lo, hi):
+    return values(st.integers(lo, hi).map(str))
+
+
+def int_lists(lo, hi, order=None):
+    """One to three integers, comma-separated, sorted when ``order`` says so."""
+    lists = st.lists(st.integers(lo, hi), min_size=1, max_size=3, unique=order is not None)
+    return lists.map(lambda xs: ",".join(map(str, sorted(xs, reverse=order == "down") if order else xs)))
+
+
+def inverse_pairs(element):
+    """Elements followed by their negatives, so a class is inverse-closed in any group."""
+    return st.lists(element, min_size=1, max_size=2).map(
+        lambda xs: ";".join(f"{x};{'-' + x.replace(',', ',-')}" for x in xs))
+
+
+CYCLIC_CLASSES = st.builds("{}={}".format, st.integers(1, 3), inverse_pairs(st.integers(1, 5).map(str)))
+PAIR_CLASSES = st.builds("{}={}".format, st.integers(1, 3), inverse_pairs(
+    st.tuples(st.integers(0, 1), st.integers(1, 3)).map("{0[0]},{0[1]}".format)))
+PARTITIONS = st.sampled_from(["1,2", "1|2", "2|1", "1,2,3", "1|2,3", "3|1,2"])
+# File flags draw a good file most of the time, else a bad, missing or empty path.
+BAD_FILES = ["{dir}/junk.json", "{dir}/missing.json", ""]
+GRAPH_IN = st.sampled_from(["{dir}/c4.json", "{dir}/z7.json", "{dir}/three-colours.json"] * 2 + BAD_FILES)
+OUT = st.sampled_from(["{dir}/out"] * 4 + ["-", ""])
+
+
+def set_files(good):
+    return st.sampled_from([f"{{dir}}/{good}"] * 4 + ["{dir}/key-1_0.json"] + BAD_FILES)
+
+
+def cayley_flags(groups, classes):
+    return [("--group", values(st.sampled_from(groups)), True), ("--class", values(classes), True),
+            ("--class", values(classes), False), ("--colours", ints(1, 4), False),
+            ("--out", OUT, False), ("--dot", OUT, False)]
+
+
+GAPS_PLAN_FLAGS = [("--k", ints(4, 14), True), ("--t", ints(1, 5), False),
+                   ("--materialize-limit", ints(0, 10**6), False), ("--out", OUT, False)]
+
+# Every flag of every command: (flag, values or None for a switch, required).
+# A command whose flags depend on each other appears once per consistent choice.
+COMMAND_FLAGS = [
+    ("construct-br", [("--b", ints(10, 12), True), ("--r", ints(11, 17), True),
+                      ("--out", OUT, False), ("--plan-out", OUT, False), ("--dot", OUT, False),
+                      ("--verify", None, False)]),
+    ("verify", [("--in", GRAPH_IN, True), ("--sequence", values(int_lists(0, 6)), False)]),
+    ("product", [("--kind", values(st.sampled_from(["strong", "cartesian"])), True),
+                 ("--left", GRAPH_IN, True), ("--right", GRAPH_IN, True),
+                 ("--out", OUT, False), ("--dot", OUT, False)]),
+    ("cayley", cayley_flags(["z:7", "z:12"], CYCLIC_CLASSES)),
+    ("cayley", cayley_flags(["z:2,4", "z2xz:3"], PAIR_CLASSES)),
+    ("pack", [("--first", set_files("blue.json"), True), ("--second", set_files("red.json"), True),
+              ("--out", OUT, False), ("--dot", OUT, False)]),
+    ("merge", [("--in", GRAPH_IN, True), ("--partition", values(PARTITIONS), True),
+               ("--out", OUT, False), ("--dot", OUT, False)]),
+    ("bounds", [("--b", values(int_lists(3, 20)), True), ("--format", values(st.just("csv")), False),
+                ("--out", OUT, False)]),
+    ("gaps-plan", [("--q", ints(2, 3), True),
+                   ("--from-br", values(st.builds("{},{}".format, st.integers(10, 12), st.integers(13, 17))),
+                    True), *GAPS_PLAN_FLAGS]),
+    ("gaps-plan", [("--q", ints(1, 3), True), ("--prefix-e", values(int_lists(20, 300, "down")), True),
+                   ("--prefix-deg", values(int_lists(1, 20, "up")), True), *GAPS_PLAN_FLAGS]),
+    ("search-sumfree", [("--group", values(st.sampled_from(["z:7", "z:12", "z:2,4", "z2xz:3"])), True),
+                        ("--mode", values(st.sampled_from(["exhaustive", "greedy"])), False),
+                        ("--budget", ints(0, 10**4), False)]),
+]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its flags: a required flag is left out one time in eight,
+    an optional one half the time."""
+    command, flags = draw(st.sampled_from(COMMAND_FLAGS))
+    argv = [command]
+    for flag, value, required in flags:
+        if draw(st.integers(0, 7)) < (7 if required else 4):
+            argv += [flag] if value is None else [flag, draw(value)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """The input files that command lines name, shared by every example."""
+    path = tmp_path_factory.mktemp("argv")
+    main(["cayley", "--group", "z:7", "--class", "1=1;6", "--class", "2=2;5",
+          "--out", str(path / "z7.json")])
+    for name, text in [
+        ("c4.json", C4_JSON),
+        ("three-colours.json", json.dumps({"vertices": 2, "colours": 3, "edges": [[0, 1, 3]]})),
+        ("junk.json", "not JSON"),
+        ("blue.json", json.dumps({"group": "z:7", "colour_count": 2, "classes": {"1": [[1], [6]]}})),
+        ("red.json", json.dumps({"group": "z:7", "colour_count": 2, "classes": {"2": [[2], [5]]}})),
+        ("key-1_0.json", json.dumps({"group": "z:7", "classes": {"1_0": [[3], [4]]}})),
+    ]:
+        (path / name).write_text(text)
+    return str(path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(argv=command_lines())
+def test_argv_contract(argv_dir, argv):
+    """Any command line gives exit 0, 1 or 2, never another exception; an exit
+    2 names its problem on stderr, from main or from argparse, and an exit 0
+    or 1 read no underscored or non-ASCII number.
+
+    Valid values come from ranges that keep every graph small (at most a few
+    hundred vertices), so each example is cheap. That hides no rejected value:
+    each flag also draws its values padded, signed, underscored, with non-ASCII
+    digits, huge and empty, and the odd tokens above."""
+    argv = [arg.replace("{dir}", argv_dir) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+            by_argparse = False
+        except SystemExit as exc:
+            rc, by_argparse = exc.code, True
+    err = err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc, err)
+    if by_argparse:
+        assert rc == 2 and re.search(r"^flipforge.*: error: \S", err, re.M), (argv, err)
+    elif rc == 2:
+        assert re.fullmatch(r"error: \S[^\n]*\n", err), (argv, err)
+    else:
+        assert rc == 1 or err == "", (argv, err)
+        # Nothing outside the integer rule was read as a number.
+        texts = [arg for arg in argv if not arg.startswith(argv_dir)]
+        assert not re.search(r"[0-9]_[0-9]|[^\x00-\x7f]", " ".join(texts)), argv

@@ -98,6 +98,18 @@ def test_parse_group_text_rejects_garbage():
             parse_group_text(text)
 
 
+@pytest.mark.parametrize("text", ["z:1_2", "z:\u0667", "z2xz:\u00b2", "z:2,\u0661\u0664"])
+def test_parse_group_text_takes_ascii_integers_only(text):
+    """int() would read these; every factor of either form is a sign and ASCII digits."""
+    with pytest.raises(ValueError) as info:
+        parse_group_text(text)
+    assert str(info.value) == f"malformed group spec {text!r}"
+
+
+def test_parse_group_text_reads_both_forms_alike():
+    assert parse_group_text("z2xz: +14 ") == parse_group_text("z: 2, +14") == GroupSpec((2, 14))
+
+
 def test_to_text_round_trip():
     for spec in (cyclic(7), GroupSpec((2, 80)), GroupSpec((2, 2, 20))):
         assert parse_group_text(spec.to_text()) == spec

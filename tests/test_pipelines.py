@@ -359,6 +359,18 @@ def test_plan_gaps_prefix_validation():
         plan_gaps(0, 9, (), ())
 
 
+@pytest.mark.parametrize("prefix_e, prefix_deg", [
+    ((265.9, "155"), ("42", 135.5)),
+    ((265, 155), (True, 135)),
+], ids=["floats-and-strings", "bool"])
+def test_plan_gaps_prefix_vectors_take_ints_only(prefix_e, prefix_deg):
+    """int() would read the first pair as the valid (265, 155) / (42, 135);
+    a prefix vector is a profile, so its entries are ints as they stand."""
+    with pytest.raises(ValueError) as info:
+        plan_gaps(2, 11, prefix_e, prefix_deg)
+    assert str(info.value) == f"prefix vectors must hold integers, got {prefix_e} and {prefix_deg}"
+
+
 def test_plan_gaps_never_builds_the_layer(monkeypatch):
     def refuse(k, q):
         raise AssertionError("planning must not build the layer connecting set")
