@@ -2,11 +2,12 @@
 
 Subcommands wrap the library one-to-one and stay deterministic: identical
 flags produce byte-identical JSON and CSV. Exit codes: 0 success or verdict
-pass, 1 verdict fail, 2 usage or domain error, malformed input and files
-that cannot be read or written included. Each call builds only the
-subcommand parser that its first argument names: every command pays for the
-parsers it builds, and all nine cost about seven times as much as one. Help,
-no command and an unknown command get all nine, so their text is unchanged.
+pass, 1 verdict fail, 2 usage or domain error, malformed input (an empty
+path, list or list part included) and files that cannot be read or written
+included. Each call builds only the subcommand parser that its first argument
+names: every command pays for the parsers it builds, and all nine cost about
+seven times as much as one. Help, no command and an unknown command get all
+nine, so their text is unchanged.
 """
 
 from __future__ import annotations
@@ -99,18 +100,12 @@ def _load_graph(path: str) -> EdgeColouredGraph:
 
 
 def _int_list(text: str, flag: str) -> list[int]:
-    """The empty string is the empty list. Every part is read by ``_int``;
-    an empty or blank part is refused."""
-    if text == "":
-        return []
+    """Every part is read by ``_int``, so an empty or blank part, and the
+    empty string, are refused."""
     try:
         return [_int(part) for part in text.split(",")]
     except ValueError:
-        raise _not_an_int_list(text, flag) from None
-
-
-def _not_an_int_list(text: str, flag: str) -> ValueError:
-    return ValueError(f"{flag} expects comma-separated integers, got {text!r}")
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _format_vector(values: Sequence[int]) -> str:
@@ -128,15 +123,10 @@ def _parse_class_flag(spec_text: str, flag: str) -> tuple[int, list]:
         raise ValueError(f"{flag} colour must be an integer, got {head!r}") from None
     elements: list = []
     for token in tail.split(";"):
-        token = token.strip()
-        if not token:
-            continue
         try:
             elements.append(tuple(map(_int, token.split(","))) if "," in token else _int(token))
         except ValueError:
-            raise ValueError(f"{flag} residues must be integers, got {token!r}") from None
-    if not elements:
-        raise ValueError(f"{flag} has no elements in {spec_text!r}")
+            raise ValueError(f"{flag} residues must be integers, got {token.strip()!r}") from None
     return colour, elements
 
 
@@ -149,11 +139,11 @@ def _emit_graph(graph: EdgeColouredGraph, out: Optional[str], dot: Optional[str]
 def _cmd_construct_br(args: argparse.Namespace) -> int:
     plan = plan_br(args.b, args.r)
     graph, report = build_br(plan)
-    if args.plan_out:
+    if args.plan_out is not None:
         _write_text(args.plan_out, _dump_json(plan.to_json_dict()))
-    if args.out:
+    if args.out is not None:
         _write_text(args.out, graph.to_json())
-    if args.dot:
+    if args.dot is not None:
         _write_text(args.dot, graph.to_dot())
     print(f"order {graph.vertex_count}")
     if args.verify:
@@ -202,11 +192,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     graph = _load_graph(args.infile)
-    parts = []
-    for chunk in args.partition.split("|"):
-        chunk = chunk.strip()
-        if chunk:
-            parts.append(_int_list(chunk, "--partition"))
+    parts = [_int_list(chunk, "--partition") for chunk in args.partition.split("|")]
     _emit_graph(colour_merge(graph, parts), args.out, args.dot)
     return 0
 
@@ -214,18 +200,15 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.format != "csv":
         raise ValueError(f"unsupported format {args.format!r}")
-    b_values = _int_list(args.b, "--b")
-    if not b_values:
-        raise _not_an_int_list(args.b, "--b")
-    _write_text(args.out, bounds_to_csv(bounds_table(b_values)))
+    _write_text(args.out, bounds_to_csv(bounds_table(_int_list(args.b, "--b"))))
     return 0
 
 
 def _cmd_gaps_plan(args: argparse.Namespace) -> int:
     q, k = args.q, args.k
     prefix_order = None
-    if args.from_br:
-        if args.prefix_e or args.prefix_deg:
+    if args.from_br is not None:
+        if args.prefix_e is not None or args.prefix_deg is not None:
             raise ValueError("--from-br and --prefix-e/--prefix-deg are mutually exclusive")
         br = _int_list(args.from_br, "--from-br")
         if len(br) != 2:
@@ -237,7 +220,7 @@ def _cmd_gaps_plan(args: argparse.Namespace) -> int:
         prefix_deg = report.colour_degrees
         prefix_order = graph.vertex_count
     else:
-        if not (args.prefix_e and args.prefix_deg):
+        if args.prefix_e is None or args.prefix_deg is None:
             raise ValueError("need either --from-br or both --prefix-e and --prefix-deg")
         prefix_e = _int_list(args.prefix_e, "--prefix-e")
         prefix_deg = _int_list(args.prefix_deg, "--prefix-deg")

@@ -384,6 +384,9 @@ def _make_gaps_plan(
     prefix_order: Optional[int],
     enforce: bool,
 ) -> GapsPlan:
+    for name, value in (("q", q), ("k", k), ("t", t), ("prefix_order", prefix_order)):
+        if type(value) is not int and (value is not None or name in ("q", "k")):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got q={q}")
     _check_limit(k, "colour count k={}")
@@ -490,9 +493,10 @@ def plan_gaps(
     A plan with problems (q outside 1 < q < k/4, a gap condition without
     positive slack, t_override below t_min, a chain that is not strictly
     monotone) raises one ValueError that lists every entry of
-    GapsPlan.problems, joined by "; ". Malformed input (k above the
-    enumeration limit, prefix vectors of the wrong type, length or order, fewer
-    than two amplified colours, or t < 1) raises on its own.
+    GapsPlan.problems, joined by "; ". Malformed input (q, k, t_override or
+    prefix_order not an int, a bool included, k above the enumeration limit,
+    prefix vectors of the wrong type, length or order, fewer than two
+    amplified colours, or t < 1) raises on its own.
     """
     return _make_gaps_plan(q, k, prefix_e, prefix_deg, t_override, prefix_order, enforce=True)
 

@@ -169,11 +169,11 @@ def test_verify_failing_graph(tmp_path, capsys):
 
 
 def test_verify_empty_sequence_is_a_usage_error(tmp_path, capsys):
-    """An empty --sequence is an expectation of length 0, not no expectation."""
+    """An empty --sequence is an empty list, malformed, not no expectation."""
     path = tmp_path / "c4.json"
     path.write_text(C4_JSON)
     rc, out, err = run(capsys, "verify", "--in", str(path), "--sequence", "")
-    assert (rc, out, err) == (2, "", "error: expected degree vector has length 0, graph has 2 colours\n")
+    assert (rc, out, err) == (2, "", "error: --sequence expects comma-separated integers, got ''\n")
 
 
 @pytest.mark.parametrize("argv, flag, text", [
@@ -231,6 +231,74 @@ def test_bounds_without_b_values_exits_2(capsys):
     """An empty --b is no table at all, not a header with no rows."""
     rc, out, err = run(capsys, "bounds", "--b", "")
     assert (rc, out, err) == (2, "", "error: --b expects comma-separated integers, got ''\n")
+
+
+NO_FILE = "[Errno 2] No such file or directory: ''"
+GAPS_PREFIX = ["gaps-plan", "--q", "2", "--k", "9", "--prefix-e", "140,135", "--prefix-deg", "42,135"]
+
+
+def empty_value_cases():
+    """(argv, stderr line): an empty path, list or list part in every flag
+    that can hold one, but for ``--sequence ""`` and ``--b ""``, which have
+    their own tests above. A graph goes to a file wherever a DOT path is
+    empty, so that stdout stays empty."""
+    graph_out = ["--out", "{tmp}/g.json"]
+    emitters = [
+        ["product", "--kind", "strong", "--left", "{tmp}/c4.json", "--right", "{tmp}/c4.json"],
+        ["cayley", "--group", "z:7", "--class", "1=1;6"],
+        ["pack", "--first", "{tmp}/blue.json", "--second", "{tmp}/red.json"],
+        ["merge", "--in", "{tmp}/c4.json", "--partition", "1,2"],
+    ]
+    cases = [(["construct-br", "--b", "4", "--r", "5", flag, ""], NO_FILE)
+             for flag in ("--out", "--plan-out", "--dot")]
+    for argv in emitters:
+        cases += [([*argv, "--out", ""], NO_FILE), ([*argv, *graph_out, "--dot", ""], NO_FILE)]
+    cases += [
+        (["bounds", "--b", "4,5", "--out", ""], NO_FILE),
+        ([*GAPS_PREFIX, "--out", ""], NO_FILE),
+        (["verify", "--in", ""], f"cannot read : {NO_FILE}"),
+        (["product", "--kind", "strong", "--left", "", "--right", "{tmp}/c4.json"],
+         f"cannot read : {NO_FILE}"),
+        (["pack", "--first", "{tmp}/blue.json", "--second", ""], f"cannot read : {NO_FILE}"),
+        (["gaps-plan", "--q", "2", "--k", "9", "--from-br", ""],
+         "--from-br expects comma-separated integers, got ''"),
+        (["gaps-plan", "--q", "2", "--k", "9", "--prefix-e", "", "--prefix-deg", "42,135"],
+         "--prefix-e expects comma-separated integers, got ''"),
+        (["gaps-plan", "--q", "2", "--k", "9", "--prefix-e", "140,135", "--prefix-deg", ""],
+         "--prefix-deg expects comma-separated integers, got ''"),
+    ]
+    cases += [(["merge", "--in", "{tmp}/c4.json", "--partition", text],
+               "--partition expects comma-separated integers, got ''") for text in ("", "1||2", "1|2|")]
+    cases += [(["cayley", "--group", "z:7", "--class", text], "--class residues must be integers, got ''")
+              for text in ("1=1;;6", "1=1;6;")]
+    return cases
+
+
+EMPTY_VALUE_CASES = empty_value_cases()
+
+
+@pytest.mark.parametrize("argv, message", EMPTY_VALUE_CASES,
+                         ids=[" ".join(argv).replace("{tmp}/", "") for argv, _ in EMPTY_VALUE_CASES])
+def test_empty_value_exits_2(tmp_path, capsys, argv, message):
+    """An empty path, list or list part is malformed, never absent or skipped."""
+    (tmp_path / "c4.json").write_text(C4_JSON)
+    (tmp_path / "blue.json").write_text(json.dumps({"group": "z:7", "classes": {"1": [[1], [6]]}}))
+    (tmp_path / "red.json").write_text(json.dumps({"group": "z:7", "classes": {"2": [[2], [5]]}}))
+    rc, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("prefix", [
+    ["--prefix-e", "265,155"], ["--prefix-deg", "42,135"],
+    ["--prefix-e", "265,155", "--prefix-deg", "42,135"], ["--prefix-e", ""], ["--prefix-deg", ""],
+], ids=["prefix-e", "prefix-deg", "both", "empty-prefix-e", "empty-prefix-deg"])
+@pytest.mark.parametrize("from_br", ["42,135", ""], ids=["from-br", "empty-from-br"])
+def test_gaps_plan_from_br_excludes_prefix_vectors(capsys, monkeypatch, from_br, prefix):
+    """--from-br builds its own prefix, so a prefix vector beside it, empty or
+    not, is refused before the prefix is built."""
+    monkeypatch.setattr(cli, "build_br", None)
+    rc, out, err = run(capsys, "gaps-plan", "--q", "2", "--k", "11", "--from-br", from_br, *prefix)
+    assert (rc, out, err) == (2, "", "error: --from-br and --prefix-e/--prefix-deg are mutually exclusive\n")
 
 
 def test_integer_list_parts_may_be_padded(tmp_path, capsys):
@@ -899,20 +967,28 @@ ODD_TOKENS = st.sampled_from(["z:1_2", "z:\u0667", "z2xz:\u00b2", "1_0=1;6"])
 
 def mangled(token):
     """``token`` padded, with a sign on its first number, underscored, with
-    non-ASCII digits, with its first number made huge, or empty."""
+    non-ASCII digits or with its first number made huge."""
     def first_number(replacement):
         return re.sub(r"[0-9]+", replacement, token, count=1)
     return st.sampled_from([
         f" {token} ", first_number(r"+\g<0>"), first_number(r"-\g<0>"),
         re.sub(r"([0-9])([0-9])", r"\1_\2", token, count=1), token.translate(NON_ASCII_DIGITS),
-        first_number("9" * 20), ""])
+        first_number("9" * 20)])
+
+
+def emptied(token):
+    """``token`` with an empty part, its outermost separator doubled or
+    appended (``1||2``, ``1=1;6;``), or empty."""
+    separator = next((sep for sep in "|;," if sep in token), ",")
+    return st.sampled_from([token.replace(separator, separator * 2, 1), token + separator, ""])
 
 
 def values(valid):
-    """A flag's value: a valid one two times in three, else a valid one mangled
-    or an odd token."""
-    return st.integers(0, 5).flatmap(
-        lambda i: valid if i < 4 else valid.flatmap(mangled) if i == 4 else ODD_TOKENS)
+    """A flag's value: a valid one four times in seven, else a valid one
+    mangled or emptied, or an odd token."""
+    return st.integers(0, 6).flatmap(
+        lambda i: valid if i < 4 else valid.flatmap(mangled) if i == 4
+        else valid.flatmap(emptied) if i == 5 else ODD_TOKENS)
 
 
 def ints(lo, hi):
@@ -951,6 +1027,16 @@ def cayley_flags(groups, classes):
             ("--out", OUT, False), ("--dot", OUT, False)]
 
 
+FROM_BR = st.builds("{},{}".format, st.integers(10, 12), st.integers(13, 17))
+PREFIX_E = int_lists(20, 300, "down")
+PREFIX_DEG = int_lists(1, 20, "up")
+
+
+def empty_or(valid):
+    """An empty value half the time, else ``values(valid)``."""
+    return st.just("") | values(valid)
+
+
 GAPS_PLAN_FLAGS = [("--k", ints(4, 14), True), ("--t", ints(1, 5), False),
                    ("--materialize-limit", ints(0, 10**6), False), ("--out", OUT, False)]
 
@@ -972,11 +1058,13 @@ COMMAND_FLAGS = [
                ("--out", OUT, False), ("--dot", OUT, False)]),
     ("bounds", [("--b", values(int_lists(3, 20)), True), ("--format", values(st.just("csv")), False),
                 ("--out", OUT, False)]),
-    ("gaps-plan", [("--q", ints(2, 3), True),
-                   ("--from-br", values(st.builds("{},{}".format, st.integers(10, 12), st.integers(13, 17))),
-                    True), *GAPS_PLAN_FLAGS]),
-    ("gaps-plan", [("--q", ints(1, 3), True), ("--prefix-e", values(int_lists(20, 300, "down")), True),
-                   ("--prefix-deg", values(int_lists(1, 20, "up")), True), *GAPS_PLAN_FLAGS]),
+    ("gaps-plan", [("--q", ints(2, 3), True), ("--from-br", values(FROM_BR), True), *GAPS_PLAN_FLAGS]),
+    ("gaps-plan", [("--q", ints(1, 3), True), ("--prefix-e", values(PREFIX_E), True),
+                   ("--prefix-deg", values(PREFIX_DEG), True), *GAPS_PLAN_FLAGS]),
+    # Both prefix sources, often empty: an empty --from-br still excludes the vectors.
+    ("gaps-plan", [("--q", ints(2, 3), True), ("--from-br", empty_or(FROM_BR), True),
+                   ("--prefix-e", empty_or(PREFIX_E), False), ("--prefix-deg", empty_or(PREFIX_DEG), False),
+                   *GAPS_PLAN_FLAGS]),
     ("search-sumfree", [("--group", values(st.sampled_from(["z:7", "z:12", "z:2,4", "z2xz:3"])), True),
                         ("--mode", values(st.sampled_from(["exhaustive", "greedy"])), False),
                         ("--budget", ints(0, 10**4), False)]),
@@ -1018,12 +1106,13 @@ def argv_dir(tmp_path_factory):
 def test_argv_contract(argv_dir, argv):
     """Any command line gives exit 0, 1 or 2, never another exception; an exit
     2 names its problem on stderr, from main or from argparse, and an exit 0
-    or 1 read no underscored or non-ASCII number.
+    or 1 read no underscored or non-ASCII number, no empty value and no empty
+    list part.
 
     Valid values come from ranges that keep every graph small (at most a few
     hundred vertices), so each example is cheap. That hides no rejected value:
     each flag also draws its values padded, signed, underscored, with non-ASCII
-    digits, huge and empty, and the odd tokens above."""
+    digits, huge, with an empty part and empty, and the odd tokens above."""
     argv = [arg.replace("{dir}", argv_dir) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1043,3 +1132,5 @@ def test_argv_contract(argv_dir, argv):
         # Nothing outside the integer rule was read as a number.
         texts = [arg for arg in argv if not arg.startswith(argv_dir)]
         assert not re.search(r"[0-9]_[0-9]|[^\x00-\x7f]", " ".join(texts)), argv
+        # Nor was an empty value or list part skipped or read as absent.
+        assert all(part.strip() for arg in texts for part in re.split(r"[|;,=]", arg)), argv

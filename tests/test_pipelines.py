@@ -371,6 +371,21 @@ def test_plan_gaps_prefix_vectors_take_ints_only(prefix_e, prefix_deg):
     assert str(info.value) == f"prefix vectors must hold integers, got {prefix_e} and {prefix_deg}"
 
 
+@pytest.mark.parametrize("keywords, name", [
+    ({"q": 2.0}, "q"), ({"q": True}, "q"), ({"k": 11.0}, "k"), ({"k": "11"}, "k"),
+    ({"t_override": 200.5}, "t"), ({"t_override": True}, "t"),
+    ({"prefix_order": 2.5}, "prefix_order"), ({"prefix_order": True}, "prefix_order"),
+], ids=["q-float", "q-bool", "k-float", "k-str", "t-float", "t-bool", "order-float", "order-bool"])
+def test_plan_gaps_scalars_take_ints_only(keywords, name):
+    """The prefix vectors' rule holds for q, k, t and the prefix order: a
+    float order would give a float order estimate, True would read as 1."""
+    arguments = {"q": 2, "k": 11, "prefix_e": (265, 155), "prefix_deg": (42, 135)} | keywords
+    (value,) = keywords.values()
+    with pytest.raises(ValueError) as info:
+        plan_gaps(**arguments)
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
 def test_plan_gaps_never_builds_the_layer(monkeypatch):
     def refuse(k, q):
         raise AssertionError("planning must not build the layer connecting set")
