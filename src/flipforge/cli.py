@@ -4,10 +4,13 @@ Subcommands wrap the library one-to-one and stay deterministic: identical
 flags produce byte-identical JSON and CSV. Exit codes: 0 success or verdict
 pass, 1 verdict fail, 2 usage or domain error, malformed input (an empty
 path, list or list part included) and files that cannot be read or written
-included. Each call builds only the subcommand parser that its first argument
-names: every command pays for the parsers it builds, and all nine cost about
-seven times as much as one. Help, no command and an unknown command get all
-nine, so their text is unchanged.
+included. Each command returns its exit code and its outputs, (path, render)
+pairs with a path of None or '-' for stdout; ``main`` alone writes them,
+every file (--plan-out, --out, --dot, in that order) and then stdout, so an
+exit 2 leaves stdout empty. Each call builds only the subcommand parser that
+its first argument names: every command pays for the parsers it builds, and
+all nine cost about seven times as much as one. Help, no command and an
+unknown command get all nine, so their text is unchanged.
 """
 
 from __future__ import annotations
@@ -72,14 +75,6 @@ def _json_text(value: object, indent: str) -> str:
     return json.dumps(value)
 
 
-def _write_text(path: Optional[str], text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -130,47 +125,42 @@ def _parse_class_flag(spec_text: str, flag: str) -> tuple[int, list]:
     return colour, elements
 
 
-def _emit_graph(graph: EdgeColouredGraph, out: Optional[str], dot: Optional[str]) -> None:
-    _write_text(out, graph.to_json())
-    if dot is not None:
-        _write_text(dot, graph.to_dot())
+def _graph_result(graph: EdgeColouredGraph, args: argparse.Namespace) -> tuple[int, list]:
+    """JSON to ``--out`` (stdout when absent), then DOT to ``--dot`` if given."""
+    outputs = [(args.out, graph.to_json)]
+    if args.dot is not None:
+        outputs.append((args.dot, graph.to_dot))
+    return 0, outputs
 
 
-def _cmd_construct_br(args: argparse.Namespace) -> int:
+def _cmd_construct_br(args: argparse.Namespace) -> tuple[int, list]:
     plan = plan_br(args.b, args.r)
     graph, report = build_br(plan)
-    if args.plan_out is not None:
-        _write_text(args.plan_out, _dump_json(plan.to_json_dict()))
-    if args.out is not None:
-        _write_text(args.out, graph.to_json())
-    if args.dot is not None:
-        _write_text(args.dot, graph.to_dot())
-    print(f"order {graph.vertex_count}")
+    status = f"order {graph.vertex_count}\n"
     if args.verify:
         # build_br raises VerificationError unless the report passed.
-        print(f"deg={_format_vector(report.colour_degrees)}")
-        print(f"e={_format_vector(report.uniform_e_chain)}")
-        print("PASS")
-    return 0
+        status += (f"deg={_format_vector(report.colour_degrees)}\n"
+                   f"e={_format_vector(report.uniform_e_chain)}\nPASS\n")
+    files = [(args.plan_out, lambda: _dump_json(plan.to_json_dict())),
+             (args.out, graph.to_json), (args.dot, graph.to_dot)]
+    return 0, [pair for pair in files if pair[0] is not None] + [(None, lambda: status)]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, list]:
     graph = _load_graph(args.infile)
     expected = _int_list(args.sequence, "--sequence") if args.sequence is not None else None
     report = verify_flip(graph, expected=expected)
-    sys.stdout.write(_dump_json(report.to_json_dict()))
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), [(None, lambda: _dump_json(report.to_json_dict()))]
 
 
-def _cmd_product(args: argparse.Namespace) -> int:
+def _cmd_product(args: argparse.Namespace) -> tuple[int, list]:
     left = _load_graph(args.left)
     right = _load_graph(args.right)
     build = strong_product if args.kind == "strong" else cartesian_product
-    _emit_graph(build(left, right), args.out, args.dot)
-    return 0
+    return _graph_result(build(left, right), args)
 
 
-def _cmd_cayley(args: argparse.Namespace) -> int:
+def _cmd_cayley(args: argparse.Namespace) -> tuple[int, list]:
     spec = parse_group_text(args.group)
     classes: dict[int, GroupSubset] = {}
     for class_text in args.colour_class:
@@ -179,32 +169,29 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
             raise ValueError(f"--class repeats colour {colour}")
         classes[colour] = GroupSubset.of(spec, elements)
     ccs = ColouredConnectingSet.of(spec, classes, args.colours)
-    _emit_graph(cayley_build(ccs), args.out, args.dot)
-    return 0
+    return _graph_result(cayley_build(ccs), args)
 
 
-def _cmd_pack(args: argparse.Namespace) -> int:
+def _cmd_pack(args: argparse.Namespace) -> tuple[int, list]:
     first = ColouredConnectingSet.from_json_dict(_load_json(args.first))
     second = ColouredConnectingSet.from_json_dict(_load_json(args.second))
-    _emit_graph(cayley_build(merge_connecting_sets(first, second)), args.out, args.dot)
-    return 0
+    return _graph_result(cayley_build(merge_connecting_sets(first, second)), args)
 
 
-def _cmd_merge(args: argparse.Namespace) -> int:
+def _cmd_merge(args: argparse.Namespace) -> tuple[int, list]:
     graph = _load_graph(args.infile)
     parts = [_int_list(chunk, "--partition") for chunk in args.partition.split("|")]
-    _emit_graph(colour_merge(graph, parts), args.out, args.dot)
-    return 0
+    return _graph_result(colour_merge(graph, parts), args)
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> tuple[int, list]:
     if args.format != "csv":
         raise ValueError(f"unsupported format {args.format!r}")
-    _write_text(args.out, bounds_to_csv(bounds_table(_int_list(args.b, "--b"))))
-    return 0
+    rows = bounds_table(_int_list(args.b, "--b"))
+    return 0, [(args.out, lambda: bounds_to_csv(rows))]
 
 
-def _cmd_gaps_plan(args: argparse.Namespace) -> int:
+def _cmd_gaps_plan(args: argparse.Namespace) -> tuple[int, list]:
     q, k = args.q, args.k
     prefix_order = None
     if args.from_br is not None:
@@ -226,27 +213,20 @@ def _cmd_gaps_plan(args: argparse.Namespace) -> int:
         prefix_deg = _int_list(args.prefix_deg, "--prefix-deg")
 
     plan = _make_gaps_plan(q, k, prefix_e, prefix_deg, args.t, prefix_order, enforce=False)
-    _write_text(args.out, _dump_json(plan.to_json_dict()))
-
-    limit = args.materialize_limit
-    if plan.order_estimate > limit:
-        print(f"materialization skipped: estimated order {plan.order_estimate} > limit {limit}")
+    estimate, limit = plan.order_estimate, args.materialize_limit
+    if estimate > limit:
+        status = f"materialization skipped: estimated order {estimate} > limit {limit}\n"
     else:
-        print(f"materialization feasible: estimated order {plan.order_estimate} <= limit {limit}")
-
-    if plan.problems:
-        for problem in plan.problems:
-            print(f"plan invalid: {problem}")
-        return 1
-    print("plan valid")
-    return 0
+        status = f"materialization feasible: estimated order {estimate} <= limit {limit}\n"
+    status += "".join(f"plan invalid: {problem}\n" for problem in plan.problems) or "plan valid\n"
+    return (1 if plan.problems else 0), [(args.out, lambda: _dump_json(plan.to_json_dict())),
+                                         (None, lambda: status)]
 
 
-def _cmd_search_sumfree(args: argparse.Namespace) -> int:
+def _cmd_search_sumfree(args: argparse.Namespace) -> tuple[int, list]:
     spec = parse_group_text(args.group)
     result = search_sumfree_inverse_closed(spec, mode=args.mode, budget=args.budget)
-    sys.stdout.write(_dump_json(json_value(result) | {"group": spec.to_text()}))
-    return 0
+    return 0, [(None, lambda: _dump_json(json_value(result) | {"group": spec.to_text()}))]
 
 
 def _configure_construct_br(p: argparse.ArgumentParser) -> None:
@@ -366,13 +346,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        code, outputs = args.func(args)
+        # Every file first, then stdout, so a path that cannot be written
+        # leaves stdout empty. Each text is made as it is written.
+        for path, render in outputs:
+            if path is not None and path != "-":
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(render())
+        for path, render in outputs:
+            if path is None or path == "-":
+                sys.stdout.write(render())
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -300,7 +300,8 @@ class EdgeColouredGraph:
     def from_json_dict(data: dict) -> "EdgeColouredGraph":
         """The graph of a parsed graph file.
 
-        The edge rows are counted against ``EDGE_LIMIT`` before any is read.
+        ``edges`` must be a list, whose rows are counted against
+        ``EDGE_LIMIT`` before any is read.
         One pass checks that every entry is an int; a list of such rows goes
         to the constructor as it is, which rejects a row of the wrong length.
         If that pass or the constructor fails, the first malformed row, if
@@ -310,11 +311,12 @@ class EdgeColouredGraph:
             vertices = data["vertices"]
             colours = data["colours"]
             edges = data["edges"]
-            if isinstance(edges, (list, str, dict)):
-                _check_edge_count(len(edges), "graph JSON")
+            if type(edges) is not list:
+                raise ValueError(f"malformed graph JSON: edges must be a list, "
+                                 f"got {type(edges).__name__}")
+            _check_edge_count(len(edges), "graph JSON")
             int_entries = set(map(type, chain.from_iterable(edges))) <= {int}
-            if not int_entries and (type(edges) is not list
-                                    or not set(map(type, edges)) <= {list}):
+            if not int_entries and not set(map(type, edges)) <= {list}:
                 # Rows of other types are read as tuples, which names them as before.
                 edges = [tuple(e) for e in edges]
         except (KeyError, TypeError) as exc:

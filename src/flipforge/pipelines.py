@@ -389,6 +389,8 @@ def _make_gaps_plan(
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got q={q}")
+    if prefix_order is not None and prefix_order < 1:
+        raise ValueError(f"prefix_order must be >= 1, got {prefix_order}")
     _check_limit(k, "colour count k={}")
     prefix_e, prefix_deg = tuple(prefix_e), tuple(prefix_deg)
     if any(type(x) is not int for x in prefix_e + prefix_deg):
@@ -471,7 +473,8 @@ def _make_gaps_plan(
         e_chain_ok=e_break is None,
         first_chain_violation=violation,
         prefix_order=prefix_order,
-        order_estimate=2 * part_size * layer_group.order * (prefix_order if prefix_order else 1),
+        order_estimate=(2 * part_size * layer_group.order
+                        * (1 if prefix_order is None else prefix_order)),
     )
     if enforce and plan.problems:
         raise ValueError("; ".join(plan.problems))
@@ -494,9 +497,9 @@ def plan_gaps(
     positive slack, t_override below t_min, a chain that is not strictly
     monotone) raises one ValueError that lists every entry of
     GapsPlan.problems, joined by "; ". Malformed input (q, k, t_override or
-    prefix_order not an int, a bool included, k above the enumeration limit,
-    prefix vectors of the wrong type, length or order, fewer than two
-    amplified colours, or t < 1) raises on its own.
+    prefix_order not an int, a bool included, prefix_order below 1, k above
+    the enumeration limit, prefix vectors of the wrong type, length or order,
+    fewer than two amplified colours, or t < 1) raises on its own.
     """
     return _make_gaps_plan(q, k, prefix_e, prefix_deg, t_override, prefix_order, enforce=True)
 

@@ -240,8 +240,9 @@ GAPS_PREFIX = ["gaps-plan", "--q", "2", "--k", "9", "--prefix-e", "140,135", "--
 def empty_value_cases():
     """(argv, stderr line): an empty path, list or list part in every flag
     that can hold one, but for ``--sequence ""`` and ``--b ""``, which have
-    their own tests above. A graph goes to a file wherever a DOT path is
-    empty, so that stdout stays empty."""
+    their own tests above. An empty DOT path fails with the graph sent to a
+    file and with it sent to stdout, as does an empty --out after a plan sent
+    to stdout: every file is written before stdout, so stdout stays empty."""
     graph_out = ["--out", "{tmp}/g.json"]
     emitters = [
         ["product", "--kind", "strong", "--left", "{tmp}/c4.json", "--right", "{tmp}/c4.json"],
@@ -252,7 +253,10 @@ def empty_value_cases():
     cases = [(["construct-br", "--b", "4", "--r", "5", flag, ""], NO_FILE)
              for flag in ("--out", "--plan-out", "--dot")]
     for argv in emitters:
-        cases += [([*argv, "--out", ""], NO_FILE), ([*argv, *graph_out, "--dot", ""], NO_FILE)]
+        cases += [([*argv, "--out", ""], NO_FILE), ([*argv, *graph_out, "--dot", ""], NO_FILE),
+                  ([*argv, "--dot", ""], NO_FILE)]
+    cases += [(["construct-br", "--b", "4", "--r", "5", *flags], NO_FILE)
+              for flags in (["--out", "-", "--dot", ""], ["--plan-out", "-", "--out", ""])]
     cases += [
         (["bounds", "--b", "4,5", "--out", ""], NO_FILE),
         ([*GAPS_PREFIX, "--out", ""], NO_FILE),
@@ -286,6 +290,20 @@ def test_empty_value_exits_2(tmp_path, capsys, argv, message):
     (tmp_path / "red.json").write_text(json.dumps({"group": "z:7", "classes": {"2": [[2], [5]]}}))
     rc, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_files_are_written_in_flag_order_before_stdout(tmp_path, capsys):
+    """A file named before a failing path is already written; stdout gets its
+    texts, in flag order and then the status lines, only once every file is."""
+    plan, graph = tmp_path / "plan.json", tmp_path / "g.json"
+    br = ["construct-br", "--b", "4", "--r", "5", "--verify"]
+    rc, out, err = run(capsys, *br, "--plan-out", str(plan), "--out", "")
+    assert (rc, out, err) == (2, "", f"error: {NO_FILE}\n")
+    assert json.loads(plan.read_text())["blue_set"] == [[9], [18], [22], [31]]
+    assert run(capsys, *br, "--out", str(graph))[0] == 0
+    rc, out, err = run(capsys, *br, "--out", "-", "--plan-out", "-")
+    assert (rc, err) == (0, "")
+    assert out == plan.read_text() + graph.read_text() + "order 40\ndeg=(4,5)\ne=(7,5)\nPASS\n"
 
 
 @pytest.mark.parametrize("prefix", [
@@ -348,13 +366,29 @@ def test_graph_file_over_edge_limit_exits_2(tmp_path, capsys, monkeypatch, argv)
 @pytest.mark.parametrize("edges", ["abcd", {"a": 1, "b": 2, "c": 3, "d": 4}],
                          ids=["string", "object"])
 def test_non_list_edges_over_edge_limit_exit_2(tmp_path, capsys, monkeypatch, edges):
-    """A string or object in place of the edge list is counted before it is read."""
+    """A string or object in place of the edge list is refused before it is
+    counted or read."""
     monkeypatch.setattr(flipforge.ecgraph, "EDGE_LIMIT", 3)
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"vertices": 4, "colours": 2, "edges": edges}))
     rc, out, err = run(capsys, "verify", "--in", str(path))
     assert (rc, out) == (2, "")
-    assert err == "error: graph JSON would have 4 edges, over the limit 3\n"
+    assert err == f"error: malformed graph JSON: edges must be a list, got {type(edges).__name__}\n"
+
+
+@pytest.mark.parametrize("argv, edges, kind", [
+    (["verify", "--in", "{path}"], {}, "dict"),
+    (["merge", "--in", "{path}", "--partition", "1", "--out", "{tmp}/merged.json"], "", "str"),
+], ids=["verify-object", "merge-string"])
+def test_non_list_edges_exit_2(tmp_path, capsys, argv, edges, kind):
+    """An empty object is not a graph with no edges, nor an empty string an
+    empty edge list: verify refuses the one, and merge the other and writes
+    no file."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": 4, "colours": 1, "edges": edges}))
+    rc, out, err = run(capsys, *(a.format(path=path, tmp=tmp_path) for a in argv))
+    assert (rc, out, err) == (2, "", f"error: malformed graph JSON: edges must be a list, got {kind}\n")
+    assert not (tmp_path / "merged.json").exists()
 
 
 @pytest.mark.parametrize("row, message", [
@@ -1105,9 +1139,10 @@ def argv_dir(tmp_path_factory):
 @given(argv=command_lines())
 def test_argv_contract(argv_dir, argv):
     """Any command line gives exit 0, 1 or 2, never another exception; an exit
-    2 names its problem on stderr, from main or from argparse, and an exit 0
-    or 1 read no underscored or non-ASCII number, no empty value and no empty
-    list part.
+    2 names its problem on stderr, from main or from argparse, and leaves
+    stdout empty, also when it fails on a path after a graph or plan bound
+    for stdout ('-' or no --out); an exit 0 or 1 read no underscored or
+    non-ASCII number, no empty value and no empty list part.
 
     Valid values come from ranges that keep every graph small (at most a few
     hundred vertices), so each example is cheap. That hides no rejected value:
@@ -1121,8 +1156,9 @@ def test_argv_contract(argv_dir, argv):
             by_argparse = False
         except SystemExit as exc:
             rc, by_argparse = exc.code, True
-    err = err.getvalue()
+    out, err = out.getvalue(), err.getvalue()
     assert rc in (0, 1, 2), (argv, rc, err)
+    assert rc != 2 or out == "", (argv, out[:200])
     if by_argparse:
         assert rc == 2 and re.search(r"^flipforge.*: error: \S", err, re.M), (argv, err)
     elif rc == 2:

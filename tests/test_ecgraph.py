@@ -438,6 +438,20 @@ def test_malformed_row_is_named_after_an_earlier_constructor_error():
         assert str(info.value) == "malformed edge entry (0, 1, 2, 1)"
 
 
+@pytest.mark.parametrize("edges, kind", [
+    ({}, "dict"), ({"a": [0, 1, 1]}, "dict"), ("", "str"), ("abc", "str"), (5, "int"),
+    (None, "NoneType"), (((0, 1, 1),), "tuple"),
+], ids=["empty-object", "object", "empty-string", "string", "int", "null", "tuple"])
+def test_from_json_dict_refuses_edges_that_are_not_a_list(monkeypatch, edges, kind):
+    """Only a list is an edge list: an object or string is not read as no rows
+    or as rows of characters, and a tuple from Python does not get past the
+    row count."""
+    monkeypatch.setattr(ecgraph, "EDGE_LIMIT", 0)
+    with pytest.raises(ValueError) as info:
+        EdgeColouredGraph.from_json_dict({"vertices": 2, "colours": 1, "edges": edges})
+    assert str(info.value) == f"malformed graph JSON: edges must be a list, got {kind}"
+
+
 def three_pass_from_json_dict(data):
     """Reference reader: every row's type, length and entries are checked in
     whole-file passes before the constructor sees any row."""
@@ -445,9 +459,10 @@ def three_pass_from_json_dict(data):
         vertices = data["vertices"]
         colours = data["colours"]
         edges = data["edges"]
-        if type(edges) is list:
-            ecgraph._check_edge_count(len(edges), "graph JSON")
-        if type(edges) is not list or not set(map(type, edges)) <= {list}:
+        if type(edges) is not list:
+            raise ValueError(f"malformed graph JSON: edges must be a list, got {type(edges).__name__}")
+        ecgraph._check_edge_count(len(edges), "graph JSON")
+        if not set(map(type, edges)) <= {list}:
             edges = [tuple(e) for e in edges]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from None

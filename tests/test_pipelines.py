@@ -386,6 +386,18 @@ def test_plan_gaps_scalars_take_ints_only(keywords, name):
     assert str(info.value) == f"{name} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("order", [0, -5])
+def test_plan_gaps_prefix_order_is_positive(order):
+    """A prefix graph has at least one vertex: 0 is not read as absent and a
+    negative order gives no negative order estimate, enforced or not."""
+    with pytest.raises(ValueError) as info:
+        plan_gaps(2, 11, (265, 155), (42, 135), prefix_order=order)
+    assert str(info.value) == f"prefix_order must be >= 1, got {order}"
+    with pytest.raises(ValueError) as info:
+        _make_gaps_plan(2, 11, (265, 155), (42, 135), None, order, enforce=False)
+    assert str(info.value) == f"prefix_order must be >= 1, got {order}"
+
+
 def test_plan_gaps_never_builds_the_layer(monkeypatch):
     def refuse(k, q):
         raise AssertionError("planning must not build the layer connecting set")
