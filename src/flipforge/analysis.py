@@ -260,6 +260,8 @@ def search_sumfree_inverse_closed(
     """
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"mode must be 'exhaustive' or 'greedy', got {mode!r}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if mode == "exhaustive" and spec.order > EXHAUSTIVE_ORDER_CAP:
         raise ValueError(
             f"exhaustive mode needs group order <= {EXHAUSTIVE_ORDER_CAP}, got {spec.order}")
@@ -271,7 +273,7 @@ def search_sumfree_inverse_closed(
         examined = 1 << len(atoms)
         if budget is not None and budget < examined:
             raise ValueError(
-                f"exhaustive search budget {budget} exceeded after {max(budget, 0)} candidates")
+                f"exhaustive search budget {budget} exceeded after {budget} candidates")
         sizes = [bits.bit_count() for _, bits in atoms]
         room = list(itertools.accumulate(sizes, initial=0))
         best = [0, 0]  # bitset, size

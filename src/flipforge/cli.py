@@ -192,6 +192,8 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, list]:
 
 
 def _cmd_gaps_plan(args: argparse.Namespace) -> tuple[int, list]:
+    if args.materialize_limit < 0:
+        raise ValueError(f"--materialize-limit must be >= 0, got {args.materialize_limit}")
     q, k = args.q, args.k
     prefix_order = None
     if args.from_br is not None:

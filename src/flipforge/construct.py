@@ -181,7 +181,7 @@ def _product_edges(g: EdgeColouredGraph, h: EdgeColouredGraph,
     them: per row u, the edges of ``h`` inside it; per edge {u, u2} of ``g``,
     the pairs ((u, v), (u2, v)); then, for the strong product, per edge of
     ``g`` its diagonals. Each edge takes its factor's colour. The factors'
-    edges are read from their adjacency, so neither builds ``edges``.
+    edges are read from their adjacency, with no sorted copy of either's.
 
     Vertex (u, v) is ``vertices[u * nh + v]``, one int object per vertex
     shared by every edge that touches it. A stream slices the rows it reads,

@@ -20,11 +20,9 @@ oracle the pass is checked against.
 
 The constructor reads its edges once, from any iterable of (u, v, colour)
 rows; every builder in ``construct`` hands it a stream and keeps no per-edge
-list. A graph keeps one {neighbour: colour} dict per vertex. Its sorted edge
-tuple ``edges`` is built from those dicts the first time it is read, and
-cached; profiling, verification, writing a graph or DOT file, the edge
-counts that size checks use and the builders that read a graph (products,
-``with_colour_count``, colour merging) never read it.
+list. A graph keeps one {neighbour: colour} dict per vertex and nothing
+else per edge. Its sorted edge tuple ``edges`` is a copy made from those
+dicts on each read and kept by no graph; nothing in the package reads it.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ class VertexColourProfile(_Record):
 class EdgeColouredGraph:
     """Immutable simple graph whose edges each carry one colour in 1..k."""
 
-    __slots__ = ("vertex_count", "colour_count", "_edges", "_adj", "_open")
+    __slots__ = ("vertex_count", "colour_count", "_adj", "_open")
 
     def __init__(self, vertex_count: int, colour_count: int, edges: Iterable[Edge]):
         if vertex_count < 0:
@@ -122,19 +120,14 @@ class EdgeColouredGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        """Every edge once as (u, v, colour) with u < v, sorted; built on first read."""
-        try:
-            return self._edges
-        except AttributeError:
-            edges = tuple((u, v, nbrs[v]) for u, nbrs in enumerate(self._adj)
-                          for v in sorted(nbrs) if v > u)
-            object.__setattr__(self, "_edges", edges)
-            return edges
+        """Every edge once as (u, v, colour) with u < v, sorted: a new copy on each read."""
+        return tuple((u, v, nbrs[v]) for u, nbrs in enumerate(self._adj)
+                     for v in sorted(nbrs) if v > u)
 
     def _edge_stream(self) -> Iterator[Edge]:
         """Every edge once as (u, v, colour) with u < v, in adjacency order,
         not sorted: per vertex u, C-level iterators over its dict. Builders
-        that copy a graph read this, so ``edges`` is never built for them."""
+        and counts read this, so no sorted copy of the edges is made for them."""
         return chain.from_iterable(
             compress(zip(repeat(u), nbrs, nbrs.values()), map(u.__lt__, nbrs))
             for u, nbrs in enumerate(self._adj))
@@ -169,7 +162,7 @@ class EdgeColouredGraph:
         s = set(vertices)
         for v in s:
             self._check_vertex(v)
-        return sum(1 for u, v, c in self.edges if c == colour and u in s and v in s)
+        return sum(1 for u, v, c in self._edge_stream() if c == colour and u in s and v in s)
 
     def vertex_profile(self, v: int) -> VertexColourProfile:
         """Profile of v: degrees from its adjacency, open counts from the
@@ -236,7 +229,7 @@ class EdgeColouredGraph:
         deg = [0] * self.colour_count
         closed = [0] * self.colour_count
         open_counts = [0] * self.colour_count
-        for u, w, c in self.edges:
+        for u, w, c in self._edge_stream():
             if u in nb and w in nb:
                 closed[c - 1] += 1
                 if u != v and w != v:
@@ -263,8 +256,8 @@ class EdgeColouredGraph:
         which makes several calls per edge entry. Here each vertex u writes
         all its rows with one C-level join: every row of u is the same head
         holding u, then the neighbour v, then a tail holding the colour (see
-        ``_edge_rows``). The rows come from the adjacency, so ``edges`` is
-        never built.
+        ``_edge_rows``). The rows come from the adjacency, so no sorted copy
+        of the edges is made.
         """
         # Each row as json.dumps(indent=2) lays it out, two levels deep.
         rows = self._edge_rows("    [\n      %d,\n      ", ",\n", ",\n      %d\n    ]".__mod__)
@@ -316,9 +309,6 @@ class EdgeColouredGraph:
                                  f"got {type(edges).__name__}")
             _check_edge_count(len(edges), "graph JSON")
             int_entries = set(map(type, chain.from_iterable(edges))) <= {int}
-            if not int_entries and not set(map(type, edges)) <= {list}:
-                # Rows of other types are read as tuples, which names them as before.
-                edges = [tuple(e) for e in edges]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph JSON: {exc}") from None
         if type(vertices) is not int or type(colours) is not int:

@@ -542,6 +542,8 @@ def build_gaps(
     verify_flip, whose report must show the predicted degrees and a uniform
     closed-count chain equal to the predicted one.
     """
+    if materialize_limit < 0:
+        raise ValueError(f"materialize_limit must be >= 0, got {materialize_limit}")
     q, k = plan.q, plan.k
     _verify_prefix_graph(prefix, plan)
     layer = _build_layer(k, q)

@@ -291,6 +291,13 @@ def test_search_exhaustive_budget_boundary():
             search_sumfree_inverse_closed(cyclic(8), budget=budget)
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_search_refuses_a_negative_budget(mode):
+    """Both modes refuse it the same way, before any candidate is examined."""
+    with pytest.raises(ValueError, match="^budget must be >= 0, got -1$"):
+        search_sumfree_inverse_closed(cyclic(7), mode=mode, budget=-1)
+
+
 def test_search_greedy():
     result = search_sumfree_inverse_closed(cyclic(8), mode="greedy")
     assert sorted(result.subset.elements) == [(1,), (3,), (5,), (7,)]

@@ -12,7 +12,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flipforge
@@ -810,6 +810,27 @@ def test_gaps_plan_materialize_limit_flag(capsys):
     assert "materialization feasible: estimated order 129920 <= limit 200000" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["search-sumfree", "--group", "z:7", "--mode", "greedy", "--budget", "-1"],
+     "budget must be >= 0, got -1"),
+    (["search-sumfree", "--group", "z:7", "--mode", "exhaustive", "--budget", "-1"],
+     "budget must be >= 0, got -1"),
+    (["gaps-plan", "--q", "2", "--k", "9", "--prefix-e", "140,135", "--prefix-deg", "42,135",
+      "--materialize-limit", "-1"], "--materialize-limit must be >= 0, got -1"),
+    (["gaps-plan", "--q", "2", "--k", "5", "--from-br", "4,5", "--materialize-limit", "-7"],
+     "--materialize-limit must be >= 0, got -7"),
+])
+def test_negative_limit_exits_2(tmp_path, capsys, argv, message):
+    """A negative --budget or --materialize-limit is refused in every mode,
+    before a plan file is written."""
+    out_file = tmp_path / "plan.json"
+    if argv[0] == "gaps-plan":
+        argv = [*argv, "--out", str(out_file)]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert not out_file.exists()
+
+
 def test_search_sumfree_command(capsys):
     rc, out, _ = run(capsys, "search-sumfree", "--group", "z:8")
     assert rc == 0
@@ -1137,12 +1158,17 @@ def argv_dir(tmp_path_factory):
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(argv=command_lines())
+@example(argv=["search-sumfree", "--group", "z:7", "--mode", "greedy", "--budget", "-1"])
+@example(argv=["gaps-plan", "--q", "2", "--prefix-e", "200,100", "--prefix-deg", "4,5",
+               "--k", "5", "--materialize-limit", "-1"])
 def test_argv_contract(argv_dir, argv):
     """Any command line gives exit 0, 1 or 2, never another exception; an exit
     2 names its problem on stderr, from main or from argparse, and leaves
     stdout empty, also when it fails on a path after a graph or plan bound
     for stdout ('-' or no --out); an exit 0 or 1 read no underscored or
-    non-ASCII number, no empty value and no empty list part.
+    non-ASCII number, no empty value, no empty list part and no negative
+    --budget or --materialize-limit. The drawn values are rarely negative, so
+    the two examples pin a negative limit on each.
 
     Valid values come from ranges that keep every graph small (at most a few
     hundred vertices), so each example is cheap. That hides no rejected value:
@@ -1170,3 +1196,6 @@ def test_argv_contract(argv_dir, argv):
         assert not re.search(r"[0-9]_[0-9]|[^\x00-\x7f]", " ".join(texts)), argv
         # Nor was an empty value or list part skipped or read as absent.
         assert all(part.strip() for arg in texts for part in re.split(r"[|;,=]", arg)), argv
+        # Nor was a negative limit read as a limit.
+        assert all(int(value) >= 0 for flag, value in zip(argv, argv[1:])
+                   if flag in ("--budget", "--materialize-limit")), argv

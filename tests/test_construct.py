@@ -22,6 +22,7 @@ from flipforge.ecgraph import EDGE_LIMIT, EdgeColouredGraph
 from flipforge.group import GroupSpec, cyclic, parse_group_text
 from flipforge.pipelines import _layer_classes
 from flipforge.setalg import GroupSubset, inverses, sumset
+from test_ecgraph import edges_unread
 
 Z7 = cyclic(7)
 Z40 = cyclic(40)
@@ -322,11 +323,11 @@ def path(n, colours=2):
 
 @pytest.mark.parametrize("product", [strong_product, cartesian_product])
 def test_product_leaves_the_factors_edges_unbuilt(product):
-    """The products read their factors' adjacency, so neither factor builds
-    and keeps its sorted edge tuple."""
+    """The products read their factors' adjacency, so no sorted copy of
+    either factor's edges is made."""
     g, h = cycle(20), cycle(30)
-    product(g, h)
-    assert not hasattr(g, "_edges") and not hasattr(h, "_edges")
+    with edges_unread():
+        product(g, h)
 
 
 @pytest.mark.parametrize("product", [strong_product, cartesian_product])
@@ -350,15 +351,15 @@ def test_cayley_build_shares_one_int_per_vertex():
 
 
 def test_verify_never_builds_the_edge_tuple():
-    """The profile pass reads the adjacency; only a reader of ``edges`` sorts it."""
+    """The profile pass reads the adjacency; only a reader of ``edges`` sorts
+    it, and gets a new copy on each read."""
     ccs = ColouredConnectingSet.of(Z40, {1: GroupSubset.of(Z40, [9, 18, 22, 31]),
                                          2: GroupSubset.of(Z40, [6, 7, 20, 33, 34])})
     for g in (cayley_build(ccs), strong_product(cycle(6), cycle(8))):
-        verify_flip(g)
-        assert repr(g).endswith(f"edges={sum(map(len, g._adj)) // 2})")
-        with pytest.raises(AttributeError):
-            g._edges
-        assert g.edges is g._edges  # built once, on that first read
+        with edges_unread():
+            verify_flip(g)
+            assert repr(g).endswith(f"edges={sum(map(len, g._adj)) // 2})")
+        assert g.edges == g.edges and g.edges is not g.edges
 
 
 def test_strong_product_k2_k2():

@@ -4,6 +4,7 @@ The profile routines are the measurement instrument for everything else in
 the package, so they get a dual-implementation cross-check here.
 """
 
+import contextlib
 import json
 import random
 import struct
@@ -31,6 +32,18 @@ def random_graph(rng, max_vertices=10, max_colours=4):
 
 
 C4_ALTERNATING = EdgeColouredGraph(4, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)])
+
+
+@contextlib.contextmanager
+def edges_unread():
+    """While open, every read of ``EdgeColouredGraph.edges`` fails, so a flow
+    run inside makes no sorted copy of any graph's edges, kept or transient."""
+    def refuse(self):
+        raise AssertionError("EdgeColouredGraph.edges was read")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(EdgeColouredGraph, "edges", property(refuse))
+        yield
 
 
 def test_constructor_validation():
@@ -349,8 +362,8 @@ def test_with_colour_count():
 
 def test_with_colour_count_leaves_the_edges_unbuilt():
     g = EdgeColouredGraph(4, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)])
-    wide = g.with_colour_count(3)
-    assert not hasattr(g, "_edges")
+    with edges_unread():
+        wide = g.with_colour_count(3)
     assert wide.edges == g.edges
 
 
@@ -568,9 +581,27 @@ def test_to_dot_is_the_per_edge_layout(g):
 
 def test_writers_build_no_edge_tuple():
     g = EdgeColouredGraph(4, 2, [(2, 3, 1), (0, 1, 1), (1, 2, 2), (0, 3, 2)])
-    g.to_json()
-    g.to_dot()
-    assert not hasattr(g, "_edges")
+    with edges_unread():
+        g.to_json()
+        g.to_dot()
+
+
+def test_edges_is_a_copy_made_per_read():
+    """A graph keeps no sorted edge tuple: each read makes a new one, and
+    dropping it frees it, but for the few thousand row tuples the interpreter
+    keeps on its free list. The copy is measured before any other read, and
+    the cycle is long, so that free list cannot hide it."""
+    n = 20000
+    g = EdgeColouredGraph(n, 2, [(i, (i + 1) % n, 1 + i % 2) for i in range(n)])
+    tracemalloc.start()
+    try:
+        edges = g.edges
+        held = tracemalloc.get_traced_memory()[0]
+        del edges
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held > 50 * n and kept < held / 4
 
 
 @pytest.mark.parametrize("write", [EdgeColouredGraph.to_json, EdgeColouredGraph.to_dot])

@@ -23,7 +23,7 @@ from flipforge.pipelines import (
     plan_gaps,
 )
 from flipforge.setalg import GroupSubset, is_inverse_closed, is_sum_free, sumset
-from test_ecgraph import indent_2_layout
+from test_ecgraph import edges_unread, indent_2_layout
 
 
 # ------------------------------------------------------------- two-colour plans
@@ -495,6 +495,20 @@ def test_build_gaps_respects_limit():
     assert result.core.vertex_count == 160
 
 
+def test_build_gaps_refuses_a_negative_limit(monkeypatch):
+    """Refused before the prefix is verified or anything is built; 0 is a limit."""
+    prefix, plan = small_relaxed_case()
+    assert build_gaps(plan, prefix, materialize_limit=0).materialized is False
+
+    def refuse(*args):
+        raise AssertionError("built before the limit was checked")
+
+    monkeypatch.setattr(pipelines, "_verify_prefix_graph", refuse)
+    with pytest.raises(ValueError) as info:
+        build_gaps(plan, prefix, materialize_limit=-1)
+    assert str(info.value) == "materialize_limit must be >= 0, got -1"
+
+
 def test_build_gaps_sizes_the_product_before_building_it(monkeypatch):
     """Over the limit, neither the amplifier nor the product is built."""
     prefix, report = build_br(plan_br(4, 5))
@@ -593,8 +607,8 @@ def test_colour_merge_identity_and_swap():
 
 def test_colour_merge_leaves_the_edges_unbuilt():
     graph, _ = build_br(plan_br(4, 5))
-    merged = colour_merge(graph, [(1, 2)])
-    assert not hasattr(graph, "_edges")
+    with edges_unread():
+        merged = colour_merge(graph, [(1, 2)])
     assert merged.edges == tuple((u, v, 1) for u, v, _ in graph.edges)
 
 
