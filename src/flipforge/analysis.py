@@ -223,9 +223,14 @@ class SearchResult(_Record):
 def _atoms(spec: GroupSpec) -> Iterator[tuple[GroupElement, int]]:
     """Inverse-closed building blocks {x, -x} as (x, index bitset), in element
     order, involutions as singletons and the identity left out. x is the i-th
-    element and -x the j-th; each atom is listed once, at its first element."""
-    for i, x in enumerate(spec.elements()):
-        j = spec._index([-y % f for y, f in zip(x, spec.factors)])
+    element and -x the j-th; each atom is listed once, at its first element.
+    j is read from one list, as ``_negate_bits`` finds -S: the reversed index
+    list holds at residue y the index of f-1-y, so translated by f-1 (read at
+    y-1) it holds the index of -y."""
+    spec.check_enumerable()  # before the |G|-entry list
+    negated = spec._translate_list(list(range(spec.order - 1, -1, -1)),
+                                   tuple(f - 1 for f in spec.factors))
+    for i, (x, j) in enumerate(zip(spec.elements(), negated)):
         if 0 < i <= j:
             yield x, 1 << i | 1 << j
 

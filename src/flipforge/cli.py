@@ -7,10 +7,13 @@ path, list or list part included) and files that cannot be read or written
 included. Each command returns its exit code and its outputs, (path, render)
 pairs with a path of None or '-' for stdout; ``main`` alone writes them,
 every file (--plan-out, --out, --dot, in that order) and then stdout, so an
-exit 2 leaves stdout empty. Each call builds only the subcommand parser that
-its first argument names: every command pays for the parsers it builds, and
-all nine cost about seven times as much as one. Help, no command and an
-unknown command get all nine, so their text is unchanged.
+exit 2 leaves stdout empty. A call whose first argument names a subcommand
+parses the rest with that subcommand's parser alone, ``flipforge NAME``, the
+prog the full tree gives it, so its help and its own errors read the same.
+The full tree, the top-level parser with all nine subcommands, is built only
+for argv that names none (help, no command, an unknown command, an option
+first) and for argv that leaves arguments over, whose usage and
+'unrecognized arguments' text the top-level parser prints.
 """
 
 from __future__ import annotations
@@ -323,30 +326,35 @@ _COMMANDS = (
 )
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The top-level parser with the subcommand ``argv[0]`` names, or with all
-    of them when ``argv[0]`` names none (help, usage errors, no command)."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with all nine subcommands."""
     parser = argparse.ArgumentParser(
         prog="flipforge",
         description="Build, verify and tabulate flip-coloured graphs.",
     )
-    named = [command for command in _COMMANDS if argv and command[0] == argv[0]]
-    if named:
-        # The usage of an 'unrecognized arguments' error still lists every choice.
-        choices = "{" + ",".join(name for name, _, _ in _COMMANDS) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
-    else:
-        # No metavar here: a 'required' error names the dest, 'command'.
-        named = _COMMANDS
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, configure in named:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, configure in _COMMANDS:
         configure(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``argv`` parsed by the subcommand's parser alone when ``argv[0]`` names
+    one and it takes every argument, else by the full tree."""
+    for name, _, configure in _COMMANDS:
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog="flipforge " + name)
+            configure(parser)
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                return args
+            break
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
         code, outputs = args.func(args)
         # Every file first, then stdout, so a path that cannot be written

@@ -377,6 +377,25 @@ def reference_greedy(spec, budget):
 SMALL_GROUPS = abelian_groups(EXHAUSTIVE_ORDER_CAP)
 
 
+def direct_atoms(spec):
+    """(x, bitset of x and -x) per element, the index of -x looked up from its
+    negated residues; each atom once, at its first element, the identity left out."""
+    elements = list(itertools.product(*map(range, spec.factors)))
+    index = {x: i for i, x in enumerate(elements)}
+    atoms = []
+    for i, x in enumerate(elements):
+        j = index[tuple(-y % f for y, f in zip(x, spec.factors))]
+        if 0 < i <= j:
+            atoms.append((x, 1 << i | 1 << j))
+    return atoms
+
+
+def test_atoms_match_the_negated_residues():
+    groups = [*SMALL_GROUPS, GroupSpec((2,) * 10), GroupSpec((3, 9)), cyclic(1000)]
+    for spec in groups:
+        assert list(analysis._atoms(spec)) == direct_atoms(spec), spec
+
+
 def test_search_exhaustive_matches_the_mask_loop():
     assert len(SMALL_GROUPS) == 36
     for spec in SMALL_GROUPS:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import unittest.mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -111,6 +112,12 @@ def argv_corpus(tmp_path):
         (["construct-br", "--b", "x", "--r", "5"], 2),
         (["search-sumfree", "--group", "z:7", "--mode", "fast"], 2),
         (["bounds", "--b", "4", "--extra"], 2),
+        (["bounds", "--b", "4", "x", "y"], 2),
+        (["bounds", "--b", "4", "--", "x"], 2),
+        (["bounds", "--he"], 0),
+        (["search-sumfree", "--group", "z:7", "-h"], 0),
+        (["bounds", "--b", "3", "--b", "4,5"], 0),
+        (["bounds", "--b=4"], 0),
         (["construct-br", "--b", "4", "--r", "5", "--verify"], 0),
         (["verify", "--in", g], 1),
         (["product", "--kind", "cartesian", "--left", k2, "--right", k2], 0),
@@ -124,28 +131,37 @@ def argv_corpus(tmp_path):
     ]
 
 
+def full_tree(argv):
+    """``argv`` parsed by the top-level parser with all nine subcommands, the
+    reference for ``cli._parse_args``."""
+    return cli._build_parser().parse_args(argv)
+
+
 def test_every_output_matches_the_parser_with_all_subcommands(tmp_path, capsys, monkeypatch):
-    """Building only the named subcommand changes no exit code and no byte of
-    stdout or stderr, help and argparse's usage errors included."""
+    """Parsing with the named subcommand's parser alone changes no exit code
+    and no byte of stdout or stderr, help and argparse's usage errors included."""
     corpus = argv_corpus(tmp_path)
     got = [outcome(capsys, argv) for argv, _ in corpus]
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+    monkeypatch.setattr(cli, "_parse_args", full_tree)
     full = [outcome(capsys, argv) for argv, _ in corpus]
     for (argv, code), mine, reference in zip(corpus, got, full):
         assert mine == reference, argv
         assert mine[0] == code, argv
 
 
-@pytest.mark.parametrize("argv, built", [(["verify", "--in", "F"], 1), (["--help"], 9)])
-def test_main_builds_only_the_subcommand_argv_names(capsys, monkeypatch, argv, built):
-    names = []
-    add_parser = argparse._SubParsersAction.add_parser
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
-                        lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw))
+@pytest.mark.parametrize("argv, built", [(["verify", "--in", "F"], 1), (["--help"], 10),
+                                         (["bounds", "--b", "4", "--extra"], 11)],
+                         ids=["named", "help", "left-over"])
+def test_main_builds_the_full_tree_only_when_needed(capsys, monkeypatch, argv, built):
+    """One parser for a named subcommand that takes every argument; the top
+    level and all nine subcommands for help, and for arguments left over."""
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kw: parsers.append(self) or init(self, *args, **kw))
     monkeypatch.setattr(sys, "argv", ["flipforge", *argv])
     outcome(capsys, None)
-    assert len(names) == built
+    assert len(parsers) == built
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -224,7 +240,7 @@ def test_integer_flags_take_ascii_integers_only(capsys, argv, flag, dest, text):
 @pytest.mark.parametrize("argv, flag, dest", INT_FLAGS, ids=[flag for _, flag, _ in INT_FLAGS])
 def test_integer_flags_may_be_padded(argv, flag, dest):
     argv = [*argv, flag, " 4 "]
-    assert getattr(cli._build_parser(argv).parse_args(argv), dest) == 4
+    assert getattr(cli._parse_args(argv), dest) == 4
 
 
 def test_bounds_without_b_values_exits_2(capsys):
@@ -1156,6 +1172,18 @@ def argv_dir(tmp_path_factory):
     return str(path)
 
 
+def redirected_main(argv):
+    """Exit code, stdout, stderr and whether argparse exited, for ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+            by_argparse = False
+        except SystemExit as exc:
+            rc, by_argparse = exc.code, True
+    return rc, out.getvalue(), err.getvalue(), by_argparse
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(argv=command_lines())
 @example(argv=["search-sumfree", "--group", "z:7", "--mode", "greedy", "--budget", "-1"])
@@ -1175,14 +1203,7 @@ def test_argv_contract(argv_dir, argv):
     each flag also draws its values padded, signed, underscored, with non-ASCII
     digits, huge, with an empty part and empty, and the odd tokens above."""
     argv = [arg.replace("{dir}", argv_dir) for arg in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main(argv)
-            by_argparse = False
-        except SystemExit as exc:
-            rc, by_argparse = exc.code, True
-    out, err = out.getvalue(), err.getvalue()
+    rc, out, err, by_argparse = redirected_main(argv)
     assert rc in (0, 1, 2), (argv, rc, err)
     assert rc != 2 or out == "", (argv, out[:200])
     if by_argparse:
@@ -1199,3 +1220,18 @@ def test_argv_contract(argv_dir, argv):
         # Nor was a negative limit read as a limit.
         assert all(int(value) >= 0 for flag, value in zip(argv, argv[1:])
                    if flag in ("--budget", "--materialize-limit")), argv
+
+
+# Tokens that a subcommand's parser leaves over, or reads as help or '--'.
+TAILS = st.lists(st.sampled_from(["x", "--", "--extra", "--he", "-h", "--b=4", "--out"]), max_size=2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(argv=command_lines(), tail=TAILS)
+def test_argv_parses_as_the_full_tree_does(argv_dir, argv, tail):
+    """Any command line, with or without tokens left over, gives the exit
+    code, stdout and stderr that parsing it with all nine subcommands gives."""
+    argv = [arg.replace("{dir}", argv_dir) for arg in argv + tail]
+    mine = redirected_main(argv)
+    with unittest.mock.patch.object(cli, "_parse_args", full_tree):
+        assert redirected_main(argv) == mine, argv
