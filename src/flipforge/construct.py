@@ -230,9 +230,6 @@ class PackingDeltaReport(_Record):
     (red_edges_in_blue_nbhd - blue_edges_in_red_nbhd). The two must agree.
     """
 
-    spec: GroupSpec
-    blue: GroupSubset
-    red: GroupSubset
     packed: EdgeColouredGraph
     delta_direct: int
     delta_formula: int
@@ -265,9 +262,6 @@ def packing_delta(spec: GroupSpec, blue: GroupSubset, red: GroupSubset) -> Packi
 
     product_condition = sumset(red, blue).is_disjoint(red)
     return PackingDeltaReport(
-        spec=spec,
-        blue=blue,
-        red=red,
         packed=packed,
         delta_direct=delta_direct,
         delta_formula=delta_formula,

@@ -2,7 +2,8 @@
 
 Vertices are 0-based integers, colours are 1-based. A profile records, for
 each colour j, the degree deg_j(v) and the number of colour-j edges induced
-by the closed and open neighbourhoods of v.
+by the closed neighbourhood of v: the degree plus the open count, which
+counts the colour-j edges among v's neighbours.
 
 The open counts of every vertex come from one whole-graph pass of the
 forward triangle-listing algorithm (Schank & Wagner, WEA 2005): each
@@ -14,7 +15,8 @@ one dict per vertex and intersects key views, in O(m) memory. The rows are
 used only when a bound on their size, worked out from the vertex and edge
 counts before any row is built, is no larger than the dicts they replace
 (see ``EdgeColouredGraph._count_open``). The pass runs the first time any
-vertex of a graph is profiled, and its counts are cached on the graph.
+vertex of a graph is profiled, and its counts are cached on the graph as
+the pass's internal table, which no profile hands out.
 ``profile_by_edge_scan`` never reads that cache; it is the independent
 oracle the pass is checked against.
 
@@ -76,10 +78,8 @@ def _dot_tail(c: int) -> str:
 
 
 class VertexColourProfile(_Record):
-    vertex: int
     deg: tuple[int, ...]
     e_closed: tuple[int, ...]
-    e_open: tuple[int, ...]
 
 
 class EdgeColouredGraph:
@@ -165,8 +165,8 @@ class EdgeColouredGraph:
         return sum(1 for u, v, c in self._edge_stream() if c == colour and u in s and v in s)
 
     def vertex_profile(self, v: int) -> VertexColourProfile:
-        """Profile of v: degrees from its adjacency, open counts from the
-        graph's triangle-listing pass, which runs on the first call only."""
+        """Profile of v: degrees from its adjacency; closed counts add the open
+        counts of the graph's triangle-listing pass, which runs on the first call only."""
         self._check_vertex(v)
         deg = [0] * (self.colour_count + 1)  # indexed by colour; slot 0 is dropped
         for c in self._adj[v].values():
@@ -177,7 +177,7 @@ class EdgeColouredGraph:
         except AttributeError:
             object.__setattr__(self, "_open", self._count_open())
             open_counts = self._open[v]
-        return VertexColourProfile(v, tuple(deg), tuple(map(add, open_counts, deg)), open_counts)
+        return VertexColourProfile(tuple(deg), tuple(map(add, open_counts, deg)))
 
     def profiles(self) -> Iterator[VertexColourProfile]:
         """Every vertex's profile in vertex order, each made as it is read:
@@ -220,6 +220,7 @@ class EdgeColouredGraph:
             counts = _open_by_bitsets(adj, order, rank, self.colour_count)
         else:
             counts = _open_by_dicts(adj, rank, self.colour_count)
+        # Tuple rows: a kernel's list row ([0] * (k + 1), cut to k) takes 24 bytes more per vertex.
         return tuple(map(tuple, counts))
 
     def profile_by_edge_scan(self, v: int) -> VertexColourProfile:
@@ -228,15 +229,12 @@ class EdgeColouredGraph:
         nb = self.closed_neighbourhood(v)
         deg = [0] * self.colour_count
         closed = [0] * self.colour_count
-        open_counts = [0] * self.colour_count
         for u, w, c in self._edge_stream():
             if u in nb and w in nb:
                 closed[c - 1] += 1
-                if u != v and w != v:
-                    open_counts[c - 1] += 1
-                else:
+                if u == v or w == v:
                     deg[c - 1] += 1
-        return VertexColourProfile(v, tuple(deg), tuple(closed), tuple(open_counts))
+        return VertexColourProfile(tuple(deg), tuple(closed))
 
     def with_colour_count(self, colour_count: int) -> "EdgeColouredGraph":
         """Same edges, wider colour range."""

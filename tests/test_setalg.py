@@ -271,7 +271,6 @@ def test_interval_report_json():
     )
     data = json_value(report)
     assert data == {
-        "n": 40,
         "a_set": [[6], [7], [33], [34]],
         "b_set": [[9], [18], [22], [31]],
         "ab_avoids_a": True,
