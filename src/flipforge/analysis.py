@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .ecgraph import EdgeColouredGraph
 from .group import ENUMERATION_LIMIT, GroupElement, GroupSpec, _Record
@@ -111,12 +111,7 @@ def old_bound(b: int, r: int) -> int:
     cap = b * (b + 1) // 2 - 1
     if r > cap:
         raise ValueError(f"r <= b(b+1)/2 - 1 = {cap} required, got r={r}")
-    return _old_bound(b, r)
-
-
-def _old_bound(b: int, r: int) -> int:
-    s = (5 + math.isqrt(1 + 8 * (r - b))) // 2
-    return 2 * (r + b + 1 - s) * s
+    return _bound_rows(b, (r,))[0][2]
 
 
 def parity_factor(b: int, r: int) -> int:
@@ -125,7 +120,8 @@ def parity_factor(b: int, r: int) -> int:
 
 
 def new_bound_cap(b: int) -> int:
-    """Exclusive upper limit on r for the two-colour Cayley construction."""
+    """Exclusive upper limit on r for the two-colour Cayley construction,
+    and the floor that build_br checks e_1 against."""
     return b + 2 * ((b + 2) // 6) ** 2
 
 
@@ -142,11 +138,22 @@ def check_br_range(b: int, r: int) -> None:
 def new_bound(b: int, r: int) -> int:
     """Order of the two-colour Cayley construction for degrees (b, r)."""
     check_br_range(b, r)
-    return _new_bound(b, r)
+    return _bound_rows(b, (r,))[0][3]  # type: ignore[return-value]
 
 
-def _new_bound(b: int, r: int) -> int:
-    return 8 * parity_factor(b, r) * (2 + r // 2 + (b + 2) // 2 - 2 * ((b + 2) // 6))
+def _bound_rows(b: int, r_values: Iterable[int]) -> list[tuple[int, int, int, Optional[int]]]:
+    """One unchecked (b, r, old, new) row per r: the one home of both bounds.
+
+    old = 2 (r + b + 1 - s) s, s the largest integer with (s - 2)(s - 3)/2 <= r - b.
+    new = 8 p (r // 2 + half), half worked out once per b and the parity factor
+    p = 2 when b and r are both odd, else 1; None for b = 3, below the
+    construction's range. Its r cap, new_bound_cap(b), is also build_br's e_1 floor.
+    """
+    half = 2 + (b + 2) // 2 - 2 * ((b + 2) // 6)
+    return [(b, r, 2 * (r + b + 1 - s) * s,
+             8 * (1 + (b & r & 1)) * (r // 2 + half) if b > 3 else None)
+            for r in r_values
+            for s in [(5 + math.isqrt(1 + 8 * (r - b))) // 2]]
 
 
 def qk_bounds(k: int) -> tuple[int, int]:
@@ -170,9 +177,8 @@ def bounds_table(b_values: Sequence[int]) -> list[tuple[int, int, Optional[int],
     bounds are defined.  b = 3 falls back to the classical range with the
     new-bound cell left empty, since the construction needs b >= 4. Tables
     over 10^6 rows are refused before any row is built. Each b is checked
-    once and r visits only valid pairs, so each b's rows come from one
-    comprehension over the bare formulas, with the parts that depend on b
-    alone worked out once.
+    once and r visits only valid pairs, so each b's rows come from one call
+    of _bound_rows.
     """
     for b in b_values:
         if b < 3:
@@ -183,18 +189,9 @@ def bounds_table(b_values: Sequence[int]) -> list[tuple[int, int, Optional[int],
             f"bounds table would have {row_count} rows, over the limit {ENUMERATION_LIMIT}")
     rows: list[tuple[int, int, Optional[int], Optional[int]]] = []
     for b in b_values:
-        if b == 3:
-            rows += [(3, r, _old_bound(3, r), None) for r in (4, 5)]
-            continue
-        # _old_bound is 2 (r + b + 1 - s) s, with s from the square root below.
-        # _new_bound is 8 p (r // 2 + half), where the parity factor p is 2 when
-        # b and r are both odd, else 1. The new cap, b + 2 floor((b + 2) / 6)^2,
-        # is at most b + (b + 2)^2 / 18 <= b (b + 1) / 2, so the old bound holds
-        # on every row.
-        half = 2 + (b + 2) // 2 - 2 * ((b + 2) // 6)
-        rows += [(b, r, 2 * (r + b + 1 - s) * s, 8 * (1 + (b & r & 1)) * (r // 2 + half))
-                 for r in range(b + 1, new_bound_cap(b))
-                 for s in [(5 + math.isqrt(1 + 8 * (r - b))) // 2]]
+        # The new cap, b + 2 floor((b + 2) / 6)^2, is at most
+        # b + (b + 2)^2 / 18 <= b (b + 1) / 2, so the old bound holds on every row.
+        rows += _bound_rows(b, range(b + 1, new_bound_cap(b)) if b > 3 else (4, 5))
     return rows
 
 

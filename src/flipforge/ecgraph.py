@@ -216,12 +216,13 @@ class EdgeColouredGraph:
         rank = [0] * n
         for r, v in enumerate(order):
             rank[v] = r
+        counts = [[0] * (self.colour_count + 1) for _ in adj]  # indexed by colour; slot 0 unused
         if n * (n - 1) * _DIGIT_BYTES <= 2 * _DIGIT_BITS * _DICT_ENTRY_BYTES * self._edge_count():
-            counts = _open_by_bitsets(adj, order, rank, self.colour_count)
+            _open_by_bitsets(adj, order, rank, counts)
         else:
-            counts = _open_by_dicts(adj, rank, self.colour_count)
-        # Tuple rows: a kernel's list row ([0] * (k + 1), cut to k) takes 24 bytes more per vertex.
-        return tuple(map(tuple, counts))
+            _open_by_dicts(adj, rank, counts)
+        # Tuple rows without slot 0: each is 24 bytes smaller than its kernel row.
+        return tuple([tuple(row[1:]) for row in counts])
 
     def profile_by_edge_scan(self, v: int) -> VertexColourProfile:
         """Same profile computed independently by scanning the full edge list."""
@@ -339,11 +340,11 @@ class EdgeColouredGraph:
         return f"graph G {{\n{rows}\n}}\n" if rows else "graph G {\n}\n"
 
 
-def _open_by_bitsets(adj, order, rank, colour_count) -> list[list[int]]:
-    """Open counts from bitset rows: the common higher-ranked neighbours of a
-    forward edge u->w are the bits of ``rows[u] & rows[w]``, taken from the
-    top bit down, so the lowest-ranked first. Each vertex's counters are
-    indexed by colour, so slot 0 stays unused and is dropped at the end."""
+def _open_by_bitsets(adj, order, rank, counts) -> None:
+    """Add open counts from bitset rows into ``counts``, one row per vertex
+    indexed by colour: the common higher-ranked neighbours of a forward edge
+    u->w are the bits of ``rows[u] & rows[w]``, taken from the top bit down,
+    so the lowest-ranked first."""
     top = len(order) - 1
     bit_of = [top - r for r in rank]
     rows = []
@@ -355,7 +356,6 @@ def _open_by_bitsets(adj, order, rank, colour_count) -> list[list[int]]:
                 row |= 1 << p
         rows.append(row)
     by_bit = order[::-1]
-    counts = [[0] * (colour_count + 1) for _ in adj]
     for u, au in enumerate(adj):
         bu = rows[u]
         if not bu:
@@ -377,17 +377,13 @@ def _open_by_bitsets(adj, order, rank, colour_count) -> list[list[int]]:
                 counts[x][c] += 1
                 cw[au[x]] += 1
                 cu[aw[x]] += 1
-    for row in counts:
-        del row[0]
-    return counts
 
 
-def _open_by_dicts(adj, rank, colour_count) -> list[list[int]]:
-    """Open counts from forward dicts: the common higher-ranked neighbours of
-    a forward edge u->w are the keys both dicts share. Counters are indexed
-    by colour, as in ``_open_by_bitsets``."""
+def _open_by_dicts(adj, rank, counts) -> None:
+    """Add open counts from forward dicts into ``counts``, as
+    ``_open_by_bitsets`` does: the common higher-ranked neighbours of a
+    forward edge u->w are the keys both dicts share."""
     fwd = [{w: c for w, c in nbrs.items() if rank[w] > rank[v]} for v, nbrs in enumerate(adj)]
-    counts = [[0] * (colour_count + 1) for _ in adj]
     for u, fu in enumerate(fwd):
         cu = counts[u]
         for w, c in fu.items():
@@ -397,6 +393,3 @@ def _open_by_dicts(adj, rank, colour_count) -> list[list[int]]:
                 counts[x][c] += 1
                 cw[fu[x]] += 1
                 cu[fw[x]] += 1
-    for row in counts:
-        del row[0]
-    return counts

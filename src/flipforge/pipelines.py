@@ -12,10 +12,10 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import product, repeat
 from typing import Iterable, Optional, Sequence
 
-from .analysis import FlipReport, new_bound, parity_factor, verify_flip
+from .analysis import FlipReport, new_bound, new_bound_cap, parity_factor, verify_flip
 from .construct import (
     ColouredConnectingSet,
     bipartite_matching_graph,
@@ -23,7 +23,7 @@ from .construct import (
     cayley_build,
     strong_product,
 )
-from .ecgraph import EdgeColouredGraph
+from .ecgraph import EdgeColouredGraph, _check_edge_count
 from .group import GroupSpec, _Record, _check_limit, cyclic
 from .setalg import (
     GroupSubset,
@@ -196,7 +196,7 @@ def build_br(plan: BrPlan) -> tuple[EdgeColouredGraph, FlipReport]:
     if chain is None:
         raise VerificationError(
             f"closed counts are not uniform across vertices for b={plan.b} r={plan.r}")
-    floor_e1 = plan.b + 2 * ((plan.b + 2) // 6) ** 2
+    floor_e1 = new_bound_cap(plan.b)
     if chain[0] < floor_e1:
         raise VerificationError(
             f"e_1 = {chain[0]} below guaranteed floor {floor_e1} for b={plan.b} r={plan.r}")
@@ -219,8 +219,8 @@ def _core_vector(k: int, q: int, prefix: Sequence[int]) -> tuple[int, ...]:
     return tuple(prefix) + tuple(_layer_sizes(k, q)) + (0,)
 
 
-def _layer_shape(k: int, q: int) -> tuple[int, int, int]:
-    """(a, m, lo) for the layer group Z_2^a x Z_m, in closed form.
+def _layer_shape(k: int, q: int) -> tuple[GroupSpec, int]:
+    """(Z_2^a x Z_m, lo): the layer group and its window's start, in closed form.
 
     Every connecting element's last residue lies in the open middle third
     lo..(2m-1)//3 of Z_m, which forces the union to be sum-free. Odd-sized
@@ -235,7 +235,7 @@ def _layer_shape(k: int, q: int) -> tuple[int, int, int]:
     a = ((n - 1) // 2).bit_length()  # 2^a >= (n + 1) // 2, the odd sizes
     pairs_needed = (n // 2) * ((n + 1) // 2)  # sum of s // 2 over the sizes
     m = max(4, 6 * -(-pairs_needed // (1 << a)) + 2)
-    return a, m, m // 3 + 1
+    return GroupSpec((2,) * a + (m,)), m // 3 + 1
 
 
 def _layer_classes(k: int, q: int) -> ColouredConnectingSet:
@@ -245,10 +245,10 @@ def _layer_classes(k: int, q: int) -> ColouredConnectingSet:
     an involution (eps, m/2) completes each odd-sized one.
     """
     sizes = _layer_sizes(k, q)
-    a, m, lo = _layer_shape(k, q)
-    spec = GroupSpec((2,) * a + (m,))
+    spec, lo = _layer_shape(k, q)
     spec.check_enumerable()
-    eps_list = list(GroupSpec((2,) * a).elements()) if a else [()]
+    *twos, m = spec.factors
+    eps_list = list(product((0, 1), repeat=len(twos)))
     pair_pool = [
         (eps + (x,), eps + (m - x,))
         for eps in eps_list
@@ -321,6 +321,9 @@ class GapsPlan(_Record):
     prefix_e and prefix_deg are the exact closed counts and degrees of the
     prefix graph on colours 1..q. Affine profiles are (constant, slope) pairs
     in the matching multiplicity t; *_at_t are their values at this plan's t.
+    order_estimate is the full product's order, 2 * part_size * |layer group|
+    * prefix_order; with no prefix_order (a profile given without a graph, as
+    by gaps-plan's --prefix-e/--prefix-deg) it is the order per prefix vertex.
     """
 
     q: int
@@ -450,8 +453,7 @@ def _make_gaps_plan(
         else ("e", e_break) if e_break is not None
         else None)
 
-    a, m, _ = _layer_shape(k, q)
-    layer_group = GroupSpec((2,) * a + (m,))
+    layer_group, _ = _layer_shape(k, q)
     plan = GapsPlan(
         q=q,
         k=k,
@@ -562,6 +564,8 @@ def build_gaps(
             flip_report=None,
         )
 
+    # p = part_size = len(matching_assignments); refuse before the p-entry tuple is built.
+    _check_edge_count(plan.part_size ** 2, "matching graph")
     amplifier = bipartite_matching_graph(k, plan.matching_assignments)
     graph = strong_product(amplifier, core)
     report = verify_flip(graph)

@@ -210,6 +210,18 @@ def test_bounds_table_rows_match_the_checked_bounds():
     assert all(type(row) is tuple for row in rows)
 
 
+def test_bounds_table_old_bound_matches_its_definition():
+    """old = 2 (r + b + 1 - s) s, s the largest integer with (s - 2)(s - 3)/2 <= r - b,
+    found by counting up rather than by the closed form's square root."""
+    rows = bounds_table(range(3, 61))
+    assert len(rows) == 3965
+    for b, r, old, _ in rows:
+        s = 3
+        while (s - 1) * (s - 2) // 2 <= r - b:
+            s += 1
+        assert old == 2 * (r + b + 1 - s) * s, (b, r)
+
+
 def test_bounds_csv():
     text = bounds_to_csv(bounds_table([11, 25]))
     lines = text.splitlines()

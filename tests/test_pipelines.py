@@ -1,6 +1,7 @@
 """End-to-end construction pipelines: two-colour builds, layers, amplification."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -236,8 +237,8 @@ def test_build_sumfree_layer_checks_group_size_first(monkeypatch):
     monkeypatch.setattr(GroupSubset, "of", staticmethod(refuse))
     with pytest.raises(ValueError, match="^group order 1002496 exceeds enumeration limit 1000000$"):
         build_sumfree_layer(819, 2)
-    a, m, _ = pipelines._layer_shape(818, 2)
-    assert (1 << a) * m == 999_424
+    group, _ = pipelines._layer_shape(818, 2)
+    assert group.order == 999_424
 
 
 # ------------------------------------------------------------------- gaps plans
@@ -422,7 +423,7 @@ def test_layer_shape_is_the_least_group_that_fits():
             m = 4
             while 2**a * len(range(m // 3 + 1, m // 2)) < sum(s // 2 for s in sizes):
                 m += 2
-            assert pipelines._layer_shape(k, q) == (a, m, m // 3 + 1), (k, q)
+            assert pipelines._layer_shape(k, q) == (GroupSpec((2,) * a + (m,)), m // 3 + 1), (k, q)
 
 
 def test_plan_layer_group_matches_built_layer():
@@ -523,6 +524,24 @@ def test_build_gaps_sizes_the_product_before_building_it(monkeypatch):
     assert result.materialized is False
     assert result.g_order == 3_841_920
     assert result.graph is None
+
+
+def test_build_gaps_sizes_the_amplifier_before_its_assignments():
+    """Within the order limit but past the edge limit, the matching graph is
+    refused before the plan's p-entry assignment tuple is made: t = 2,000,000
+    gives p = 6,000,003 and p^2 edges."""
+    prefix, report = build_br(plan_br(4, 5))
+    plan = _make_gaps_plan(2, 5, report.uniform_e_chain, report.colour_degrees, 2_000_000,
+                           prefix.vertex_count, enforce=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            build_gaps(plan, prefix, materialize_limit=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "matching graph would have 36000036000009 edges, over the limit 1000000"
+    assert peak < 5 * 10**6, peak
 
 
 def test_build_gaps_profiles_each_vertex_once(monkeypatch):
