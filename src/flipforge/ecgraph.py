@@ -5,26 +5,31 @@ each colour j, the degree deg_j(v) and the number of colour-j edges induced
 by the closed neighbourhood of v: the degree plus the open count, which
 counts the colour-j edges among v's neighbours.
 
-The open counts of every vertex come from one whole-graph pass of the
-forward triangle-listing algorithm (Schank & Wagner, WEA 2005): each
-triangle is listed exactly once and credits its opposite edge's colour to
-each of its three corners, in O(m^1.5) time. The pass keeps each vertex's
-higher-ranked neighbours in one of two forms. A dense graph gets one integer
-bitset row per vertex and intersects rows with ``&``; a sparse graph gets
-one dict per vertex and intersects key views, in O(m) memory. The rows are
-used only when a bound on their size, worked out from the vertex and edge
-counts before any row is built, is no larger than the dicts they replace
-(see ``EdgeColouredGraph._count_open``). The pass runs the first time any
-vertex of a graph is profiled, and its counts are cached on the graph as
-the pass's internal table, which no profile hands out.
-``profile_by_edge_scan`` never reads that cache; it is the independent
-oracle the pass is checked against.
+A graph keeps one {neighbour: colour} dict per vertex, holding only the
+neighbours above it, so each edge is stored once, at its lower endpoint,
+and nothing else per edge. The constructor reads its edges once, from any
+iterable of (u, v, colour) rows, with one dict insert per row; every builder
+in ``construct`` hands it a stream and keeps no per-edge list. The sorted
+edge tuple ``edges`` is a copy made from the dicts on each read and kept by
+no graph; nothing in the package reads it.
 
-The constructor reads its edges once, from any iterable of (u, v, colour)
-rows; every builder in ``construct`` hands it a stream and keeps no per-edge
-list. A graph keeps one {neighbour: colour} dict per vertex and nothing
-else per edge. Its sorted edge tuple ``edges`` is a copy made from those
-dicts on each read and kept by no graph; nothing in the package reads it.
+The profiles of every vertex come from one whole-graph pass of the forward
+triangle-listing algorithm (Schank & Wagner, WEA 2005), with edges oriented
+by vertex index: the forward neighbours of a vertex are exactly its stored
+dict, so the pass ranks nothing and copies no adjacency. Each triangle is
+listed exactly once and credits its opposite edge's colour to each of its
+three corners, and each edge credits its colour to both endpoints' degrees.
+Index order keeps the O(m^1.5) bound because each intersection costs no
+more than its smaller side (Chiba & Nishizeki, SIAM J. Comput. 1985; see
+``EdgeColouredGraph._count_open``). A dense graph's pass intersects one
+integer bitset row per vertex with ``&``; a sparse graph's intersects the
+key views of the graph's own dicts, and allocates nothing per edge. The rows
+are used only when a bound on their size, worked out from the vertex and
+edge counts before any row is built, is no larger than those dicts. The pass
+runs the first time any vertex of a graph is profiled, and its degree and
+closed-count rows are cached on the graph; a profile is two of those
+immutable rows. ``profile_by_edge_scan`` never reads that cache; it is the
+independent oracle the pass is checked against.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import json
 import struct
 import sys
 from itertools import chain, compress, repeat
-from operator import add
+from operator import add, contains
 from typing import Callable, Iterable, Iterator
 
 from .group import ENUMERATION_LIMIT, _Record, _check_limit
@@ -43,14 +48,16 @@ __all__ = ["EdgeColouredGraph", "VertexColourProfile"]
 Edge = tuple[int, int, int]
 
 # Most edges a builder lists or a graph file holds. Building takes about
-# 0.3-1.2 us per edge (CPython 3.11), and its peak memory is mostly the
-# finished graph's per-vertex dicts: 100-140 bytes per edge on Cayley graphs
-# and products of cycles, 110-180 on a path times K2 and up to 340 on a path
-# times K1, which has about one edge per vertex. So the largest allowed graph
-# builds in about 1 s, and in under 150 MB when its vertices have several
-# edges each (under 350 MB at worst). Each builder checks its closed-form edge
-# count before it lists any edge, and a graph file its row count before it
-# converts any row.
+# 0.2-1.5 us per edge (CPython 3.11), and its peak memory is mostly the
+# finished graph's per-vertex dicts, which hold each edge once. Peak bytes per
+# edge (tracemalloc): 35-46 on Cayley graphs of degree 40 to 400 and 148 at
+# degree 4; 68 on the strong and 137 on the Cartesian product of two
+# 300-cycles; 109-182 on a path times K2 and 272 on a path times K1, which has
+# about one edge per vertex, so that the dicts' fixed cost dominates. So the
+# largest allowed graph builds in about 1.5 s, and in under 150 MB when its
+# vertices have several edges each (under 300 MB at worst). Each builder
+# checks its closed-form edge count before it lists any edge, and a graph
+# file its row count before it converts any row.
 EDGE_LIMIT = 10**6
 
 
@@ -85,7 +92,7 @@ class VertexColourProfile(_Record):
 class EdgeColouredGraph:
     """Immutable simple graph whose edges each carry one colour in 1..k."""
 
-    __slots__ = ("vertex_count", "colour_count", "_adj", "_open")
+    __slots__ = ("vertex_count", "colour_count", "_adj", "_rows")
 
     def __init__(self, vertex_count: int, colour_count: int, edges: Iterable[Edge]):
         if vertex_count < 0:
@@ -93,13 +100,14 @@ class EdgeColouredGraph:
         _check_limit(vertex_count, "vertex count {}")
         if colour_count < 1:
             raise ValueError(f"colour count must be >= 1, got {colour_count}")
-        # Profiles hold k counters per vertex and the open-count pass one row of k per vertex.
+        # Profiles hold k counters per vertex and the profile pass two rows of k per vertex.
         _check_limit(colour_count, "colour count {}")
         if vertex_count * colour_count > 16 * ENUMERATION_LIMIT:
             raise ValueError(
                 f"vertex count {vertex_count} times colour count {colour_count} is "
                 f"{vertex_count * colour_count}, over the limit {16 * ENUMERATION_LIMIT}")
-        # One {neighbour: colour} dict per vertex; it also collapses repeated edges.
+        # One {higher neighbour: colour} dict per vertex, so each edge is kept
+        # once, at its lower endpoint; it also collapses repeated edges.
         adj: list[dict[int, int]] = [{} for _ in range(vertex_count)]
         # Unpacking in the for target lets a zip stream reuse one row tuple throughout.
         for u, v, c in edges:
@@ -109,11 +117,10 @@ class EdgeColouredGraph:
                 raise ValueError(f"loop edges are not allowed: {(u, v, c)}")
             if not (1 <= c <= colour_count):
                 raise ValueError(f"colour {c} outside 1..{colour_count}: {(u, v, c)}")
-            seen = adj[u].setdefault(v, c)
+            seen = adj[u].setdefault(v, c) if u < v else adj[v].setdefault(u, c)
             if seen != c:
                 key = (u, v) if u < v else (v, u)
                 raise ValueError(f"vertex pair {key} carries two colours: {seen} and {c}")
-            adj[v][u] = c
         self.vertex_count = vertex_count
         self.colour_count = colour_count
         self._adj = tuple(adj)
@@ -121,20 +128,18 @@ class EdgeColouredGraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         """Every edge once as (u, v, colour) with u < v, sorted: a new copy on each read."""
-        return tuple((u, v, nbrs[v]) for u, nbrs in enumerate(self._adj)
-                     for v in sorted(nbrs) if v > u)
+        return tuple((u, v, nbrs[v]) for u, nbrs in enumerate(self._adj) for v in sorted(nbrs))
 
     def _edge_stream(self) -> Iterator[Edge]:
         """Every edge once as (u, v, colour) with u < v, in adjacency order,
         not sorted: per vertex u, C-level iterators over its dict. Builders
         and counts read this, so no sorted copy of the edges is made for them."""
         return chain.from_iterable(
-            compress(zip(repeat(u), nbrs, nbrs.values()), map(u.__lt__, nbrs))
-            for u, nbrs in enumerate(self._adj))
+            zip(repeat(u), nbrs, nbrs.values()) for u, nbrs in enumerate(self._adj))
 
     def _edge_count(self) -> int:
         """len(edges), from the adjacency sizes, without building the edges."""
-        return sum(map(len, self._adj)) // 2
+        return sum(map(len, self._adj))
 
     def __setattr__(self, name, value):
         if hasattr(self, "_adj"):
@@ -152,8 +157,11 @@ class EdgeColouredGraph:
                 f"colours={self.colour_count}, edges={self._edge_count()})")
 
     def closed_neighbourhood(self, v: int) -> frozenset[int]:
+        """v and its neighbours: the higher ones are its dict's keys, the lower
+        ones the vertices below v whose dicts hold v, found by a scan."""
         self._check_vertex(v)
-        return frozenset([v, *self._adj[v]])
+        adj = self._adj
+        return frozenset(chain((v,), adj[v], compress(range(v), map(contains, adj[:v], repeat(v)))))
 
     def count_coloured_edges(self, vertices: Iterable[int], colour: int) -> int:
         """Number of colour-j edges with both endpoints in the given set."""
@@ -165,64 +173,67 @@ class EdgeColouredGraph:
         return sum(1 for u, v, c in self._edge_stream() if c == colour and u in s and v in s)
 
     def vertex_profile(self, v: int) -> VertexColourProfile:
-        """Profile of v: degrees from its adjacency; closed counts add the open
-        counts of the graph's triangle-listing pass, which runs on the first call only."""
+        """Profile of v: its degree and closed-count rows from the graph's
+        triangle-listing pass, which runs on the first call only."""
         self._check_vertex(v)
-        deg = [0] * (self.colour_count + 1)  # indexed by colour; slot 0 is dropped
-        for c in self._adj[v].values():
-            deg[c] += 1
-        del deg[0]
         try:
-            open_counts = self._open[v]
+            deg, closed = self._rows
         except AttributeError:
-            object.__setattr__(self, "_open", self._count_open())
-            open_counts = self._open[v]
-        return VertexColourProfile(tuple(deg), tuple(map(add, open_counts, deg)))
+            object.__setattr__(self, "_rows", self._count_open())
+            deg, closed = self._rows
+        return VertexColourProfile(deg[v], closed[v])
 
     def profiles(self) -> Iterator[VertexColourProfile]:
         """Every vertex's profile in vertex order, each made as it is read:
         the one loop over all vertices that audits and verification share."""
         return map(self.vertex_profile, range(self.vertex_count))
 
-    def _count_open(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex open counts, listing each triangle once (forward algorithm).
+    def _count_open(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per-vertex degree rows and closed-count rows, from one pass that
+        lists each triangle once (forward algorithm) and reads each edge once.
 
-        Vertices are ranked by (degree, index). A triangle u < w < x in rank
-        order is found only from the forward edge u->w, as a higher-ranked
-        neighbour x common to u and w; the edge opposite each corner then adds
-        one to that corner's count. The higher-ranked neighbours of each
-        vertex are kept in one of two forms:
+        Edges are oriented by vertex index, so the forward neighbours of u
+        are exactly the keys of its stored dict ``adj[u]``. A triangle
+        u < w < x is found only from the edge u->w, as a neighbour x common
+        to u and w; the edge opposite each corner then adds one to that
+        corner's open count. Each edge also adds one to both endpoints'
+        degree in its colour, and a closed count is the degree plus the open
+        count. Any vertex order keeps the O(m^1.5) bound as long as each
+        intersection costs no more than its smaller side: the edge u->w then
+        costs at most min(deg u, deg w), and those minima sum to O(m^1.5)
+        over all edges (Chiba & Nishizeki, SIAM J. Comput. 1985). A key-view
+        ``&`` walks the smaller view. The forward neighbours are read in one
+        of two forms:
 
         - bitset rows (``_open_by_bitsets``): one int per vertex, with bit
-          n-1-r set for each higher-ranked neighbour of rank r. The row of the
-          vertex of rank r has bits below n-1-r only, so the n rows hold at
-          most n(n-1)/2 bits. In 30-bit digits of 4 bytes (``sys.int_info``
-          on 64-bit CPython) that is at most n(n-1)/15 bytes.
-        - forward dicts (``_open_by_dicts``): one {neighbour: colour} dict per
-          vertex, holding each of the m edges once. Each entry takes at least
-          24 bytes (hash, key and value pointers), so at least 24m bytes.
+          n-1-x set for each forward neighbour x. The row of vertex u has
+          bits below n-1-u only, so the n rows hold at most n(n-1)/2 bits.
+          In 30-bit digits of 4 bytes (``sys.int_info`` on 64-bit CPython)
+          that is at most n(n-1)/15 bytes.
+        - the graph's own dicts (``_open_by_dicts``), read as they are: no
+          forward structure is allocated. They hold each of the m edges once,
+          and each entry takes at least 24 bytes (hash, key and value
+          pointers), so at least 24m bytes.
 
-        The rows are built only when their bound is no larger than the dicts'
-        floor, n(n-1)/15 <= 24m, that is n(n-1) <= 360m on 64-bit CPython: an
-        average degree of at least (n-1)/180. Object headers are left out on
-        both sides; an int's is smaller than a dict's. The check uses n and m
-        alone and runs before either form is built. Bits are made by
-        shifting, with no table of powers of two, which would take O(n^2)
-        bits of its own.
+        The rows are built only when their bound is no larger than the
+        dicts' floor, n(n-1)/15 <= 24m, that is n(n-1) <= 360m on 64-bit
+        CPython: an average degree of at least (n-1)/180. So the rows never
+        add more than the graph already holds per edge. Object headers are
+        left out on both sides; an int's is smaller than a dict's. The check
+        uses n and m alone and runs before any row is built. Bits are made
+        by shifting, with no table of powers of two, which would take
+        O(n^2) bits of its own.
         """
         adj = self._adj
         n = self.vertex_count
-        order = sorted(range(n), key=lambda v: (len(adj[v]), v))
-        rank = [0] * n
-        for r, v in enumerate(order):
-            rank[v] = r
-        counts = [[0] * (self.colour_count + 1) for _ in adj]  # indexed by colour; slot 0 unused
+        # Both tables are indexed by colour; slot 0 is unused.
+        degrees, counts = ([[0] * (self.colour_count + 1) for _ in adj] for _ in range(2))
         if n * (n - 1) * _DIGIT_BYTES <= 2 * _DIGIT_BITS * _DICT_ENTRY_BYTES * self._edge_count():
-            _open_by_bitsets(adj, order, rank, counts)
+            _open_by_bitsets(adj, degrees, counts)
         else:
-            _open_by_dicts(adj, rank, counts)
-        # Tuple rows without slot 0: each is 24 bytes smaller than its kernel row.
-        return tuple([tuple(row[1:]) for row in counts])
+            _open_by_dicts(adj, degrees, counts)
+        deg = [tuple(row[1:]) for row in degrees]
+        return tuple(deg), tuple([tuple(map(add, row[1:], d)) for row, d in zip(counts, deg)])
 
     def profile_by_edge_scan(self, v: int) -> VertexColourProfile:
         """Same profile computed independently by scanning the full edge list."""
@@ -281,8 +292,8 @@ class EdgeColouredGraph:
         tail = dict(zip(colours, map(tail_of, colours))).__getitem__
         blocks = []
         for u, nbrs in enumerate(adj):
-            higher = sorted([v for v in nbrs if v > u])
-            if higher:
+            if nbrs:
+                higher = sorted(nbrs)
                 h = head % u
                 blocks.append(h + (sep + h).join(
                     map(add, map(name, higher), map(tail, map(nbrs.__getitem__, higher)))))
@@ -340,31 +351,25 @@ class EdgeColouredGraph:
         return f"graph G {{\n{rows}\n}}\n" if rows else "graph G {\n}\n"
 
 
-def _open_by_bitsets(adj, order, rank, counts) -> None:
-    """Add open counts from bitset rows into ``counts``, one row per vertex
-    indexed by colour: the common higher-ranked neighbours of a forward edge
+def _open_by_bitsets(adj, degrees, counts) -> None:
+    """Add degrees and open counts into ``degrees`` and ``counts``, one row
+    per vertex indexed by colour: the common forward neighbours of an edge
     u->w are the bits of ``rows[u] & rows[w]``, taken from the top bit down,
-    so the lowest-ranked first."""
-    top = len(order) - 1
-    bit_of = [top - r for r in rank]
+    so the lowest vertex first."""
+    top = len(adj) - 1
     rows = []
-    for nbrs, below in zip(adj, bit_of):
+    for nbrs in adj:
         row = 0
-        for w in nbrs:
-            p = bit_of[w]
-            if p < below:
-                row |= 1 << p
+        for x in nbrs:
+            row |= 1 << (top - x)
         rows.append(row)
-    by_bit = order[::-1]
     for u, au in enumerate(adj):
         bu = rows[u]
-        if not bu:
-            continue
-        below = bit_of[u]
+        du = degrees[u]
         cu = counts[u]
         for w, c in au.items():
-            if bit_of[w] >= below:
-                continue
+            du[c] += 1
+            degrees[w][c] += 1
             common = bu & rows[w]
             if not common:
                 continue
@@ -373,23 +378,25 @@ def _open_by_bitsets(adj, order, rank, counts) -> None:
             while common:
                 p = common.bit_length() - 1
                 common ^= 1 << p
-                x = by_bit[p]
+                x = top - p
                 counts[x][c] += 1
                 cw[au[x]] += 1
                 cu[aw[x]] += 1
 
 
-def _open_by_dicts(adj, rank, counts) -> None:
-    """Add open counts from forward dicts into ``counts``, as
-    ``_open_by_bitsets`` does: the common higher-ranked neighbours of a
-    forward edge u->w are the keys both dicts share."""
-    fwd = [{w: c for w, c in nbrs.items() if rank[w] > rank[v]} for v, nbrs in enumerate(adj)]
-    for u, fu in enumerate(fwd):
+def _open_by_dicts(adj, degrees, counts) -> None:
+    """Add degrees and open counts into ``degrees`` and ``counts``, as
+    ``_open_by_bitsets`` does: the common forward neighbours of an edge u->w
+    are the keys that ``adj[u]`` and ``adj[w]`` share."""
+    for u, au in enumerate(adj):
+        du = degrees[u]
         cu = counts[u]
-        for w, c in fu.items():
-            fw = fwd[w]
+        for w, c in au.items():
+            du[c] += 1
+            degrees[w][c] += 1
+            aw = adj[w]
             cw = counts[w]
-            for x in fu.keys() & fw.keys():
+            for x in au.keys() & aw.keys():
                 counts[x][c] += 1
-                cw[fu[x]] += 1
-                cu[fw[x]] += 1
+                cw[au[x]] += 1
+                cu[aw[x]] += 1

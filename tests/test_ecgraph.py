@@ -10,10 +10,10 @@ import random
 import struct
 import sys
 import tracemalloc
-from operator import sub
+from operator import add
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flipforge import ecgraph
@@ -94,7 +94,8 @@ def test_two_colours_on_one_pair_message(edges, message):
 
 def reference_build(vertex_count, edges):
     """The pair-dict constructor the adjacency dicts replaced: one dict entry
-    per vertex pair, then sorted edges and sorted (neighbour, colour) lists."""
+    per vertex pair, then sorted edges, sorted (higher neighbour, colour)
+    lists and sorted neighbour lists."""
     pair = {}
     for u, v, c in edges:
         key = (u, v) if u < v else (v, u)
@@ -102,12 +103,14 @@ def reference_build(vertex_count, edges):
         if seen is not None and seen != c:
             raise ValueError(f"vertex pair {key} carries two colours: {seen} and {c}")
         pair[key] = c
-    adj = [[] for _ in range(vertex_count)]
+    upper = [[] for _ in range(vertex_count)]
+    neighbours = [[] for _ in range(vertex_count)]
     for (u, v), c in pair.items():
-        adj[u].append((v, c))
-        adj[v].append((u, c))
+        upper[u].append((v, c))
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     edges = tuple(sorted((u, v, c) for (u, v), c in pair.items()))
-    return edges, [sorted(nbrs) for nbrs in adj]
+    return edges, [sorted(nbrs) for nbrs in upper], [sorted(nbrs) for nbrs in neighbours]
 
 
 @st.composite
@@ -138,7 +141,7 @@ def edge_lists(draw):
 def test_constructor_matches_pair_dict_reference(case):
     n, k, edges = case
     try:
-        expected_edges, expected_adj = reference_build(n, edges)
+        expected_edges, expected_upper, expected_neighbours = reference_build(n, edges)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
             EdgeColouredGraph(n, k, edges)
@@ -146,7 +149,21 @@ def test_constructor_matches_pair_dict_reference(case):
         return
     g = EdgeColouredGraph(n, k, edges)
     assert g.edges == expected_edges
-    assert [sorted(g._adj[v].items()) for v in range(n)] == expected_adj
+    assert [sorted(g._adj[v].items()) for v in range(n)] == expected_upper
+    assert [sorted(g.closed_neighbourhood(v) - {v}) for v in range(n)] == expected_neighbours
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(edge_lists())
+def test_each_edge_is_stored_once_at_its_lower_endpoint(case):
+    """Whatever the orientation and repetition of the rows, each distinct
+    pair is one dict entry, keyed by the higher endpoint."""
+    n, k, edges = case
+    pairs = {(min(u, v), max(u, v)) for u, v, _ in edges}
+    assume(len({(min(u, v), max(u, v), c) for u, v, c in edges}) == len(pairs))  # one colour a pair
+    g = EdgeColouredGraph(n, k, edges)
+    assert all(v > u for u, nbrs in enumerate(g._adj) for v in nbrs)
+    assert sum(map(len, g._adj)) == len(g.edges) == len(pairs)
 
 
 def test_duplicate_edges_collapse():
@@ -227,25 +244,67 @@ def graphs_with_query_order(draw):
     return g, draw(st.permutations(range(total)))
 
 
+def kernel_profiles(g, kernel):
+    """(deg, closed) per vertex from one kernel run on the graph's own dicts,
+    each table indexed by colour with slot 0 unused."""
+    degrees, counts = ([[0] * (g.colour_count + 1) for _ in g._adj] for _ in range(2))
+    kernel(g._adj, degrees, counts)
+    return [(tuple(d[1:]), tuple(map(add, o[1:], d[1:]))) for d, o in zip(degrees, counts)]
+
+
+def scan_profiles(g):
+    return [(p.deg, p.e_closed) for p in map(g.profile_by_edge_scan, range(g.vertex_count))]
+
+
+KERNELS = (ecgraph._open_by_bitsets, ecgraph._open_by_dicts)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(graphs_with_query_order())
 def test_profile_matches_edge_scan_in_any_query_order(case):
     g, order = case
     for v in order:
         assert g.vertex_profile(v) == g.profile_by_edge_scan(v), f"vertex {v} of {g!r}"
-    # Both kernels, whichever one the size rule picks, under a drawn ranking:
-    # each triangle has one lowest and one middle corner in any vertex order.
-    scans = map(g.profile_by_edge_scan, range(g.vertex_count))
-    expected = [list(map(sub, p.e_closed, p.deg)) for p in scans]
-    rank = [0] * len(order)
-    for r, v in enumerate(order):
-        rank[v] = r
-    # Each kernel adds into a fresh table indexed by colour, slot 0 unused.
-    bitsets, dicts = ([[0] * (g.colour_count + 1) for _ in g._adj] for _ in range(2))
-    ecgraph._open_by_bitsets(g._adj, order, rank, bitsets)
-    ecgraph._open_by_dicts(g._adj, rank, dicts)
-    assert [row[1:] for row in bitsets] == expected
-    assert [row[1:] for row in dicts] == expected
+    # Both kernels, whichever one the size rule picks, on the graph relabelled
+    # by the drawn permutation: each triangle has one lowest and one middle
+    # corner under any vertex order, and the kernels orient edges by index.
+    relabelled = EdgeColouredGraph(g.vertex_count, g.colour_count,
+                                   [(order[u], order[v], c) for u, v, c in g._edge_stream()])
+    expected = scan_profiles(relabelled)
+    assert [expected[order[v]] for v in range(g.vertex_count)] == scan_profiles(g)
+    for kernel in KERNELS:
+        assert kernel_profiles(relabelled, kernel) == expected, kernel.__name__
+
+
+def skewed_graph(shape, n=600, m=950):
+    """A sparse graph whose high-degree vertices sit at one end of the index
+    range, so that index orientation gives them all or none of their edges:
+    a hub at 0 or at n-1 joined to every other vertex, or a 25-clique on
+    0..24, then a perfect matching and random chords up to m edges."""
+    rng = random.Random(shape)
+    if shape == "clique-low":
+        pairs = [(u, v) for u in range(25) for v in range(u + 1, 25)]
+    else:
+        hub = 0 if shape == "hub-low" else n - 1
+        pairs = [(min(hub, v), max(hub, v)) for v in range(n) if v != hub]
+    kept = dict.fromkeys(pairs + [(u, u + 1) for u in range(0, n, 2)])
+    while len(kept) < m:
+        kept.setdefault(tuple(sorted(rng.sample(range(n), 2))))
+    return EdgeColouredGraph(n, 3, [(u, v, rng.randint(1, 3)) for u, v in kept])
+
+
+@pytest.mark.parametrize("shape", ["hub-low", "hub-high", "clique-low"])
+def test_skewed_sparse_graphs_through_both_kernels(monkeypatch, shape):
+    """The size rule picks the dicts here; both kernels, and the profiles,
+    agree with the edge-scan oracle at every vertex."""
+    g = skewed_graph(shape)
+    expected = scan_profiles(g)
+    assert any(closed != deg for deg, closed in expected)  # some vertex is in a triangle
+    for kernel in KERNELS:
+        assert kernel_profiles(g, kernel) == expected, kernel.__name__
+    ran = record_kernels(monkeypatch)
+    assert [(p.deg, p.e_closed) for p in g.profiles()] == expected
+    assert ran == ["_open_by_dicts"]
 
 
 def count_passes(monkeypatch):
@@ -295,9 +354,9 @@ def test_size_rule_picks_the_kernel(monkeypatch, extra, kernel):
 
 
 def test_sparse_graph_pass_memory(monkeypatch):
-    """On a sparse graph the pass keeps forward dicts, O(m) memory: about 20 MB
-    of peak allocation here, where bitset rows could take up to n(n-1)/15
-    bytes, about 167 MB."""
+    """On a sparse graph the pass reads the graph's own dicts, O(m) memory:
+    about 18 MB of peak allocation here, where bitset rows could take up to
+    n(n-1)/15 bytes, about 167 MB."""
     ran = record_kernels(monkeypatch)
     rng = random.Random(50_000)
     n, m = 50_000, 150_000
@@ -309,13 +368,13 @@ def test_sparse_graph_pass_memory(monkeypatch):
     g = EdgeColouredGraph(n, 3, [(u, v, c) for (u, v), c in kept.items()])
     tracemalloc.start()
     try:
-        counts = g._count_open()
+        degrees, closed = g._count_open()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert ran == ["_open_by_dicts"]
     assert peak < 40_000_000, peak
-    assert len(counts) == n
+    assert len(degrees) == len(closed) == n
 
 
 def test_profile_pass_runs_once_per_graph(monkeypatch):
@@ -620,7 +679,7 @@ def test_immutability():
         g.vertex_count = 5
     # filling the profile cache leaves the graph read-only
     assert g.vertex_profile(0).e_closed == (3,)
-    for name in ("vertex_count", "edges", "_adj", "_open"):
+    for name in ("vertex_count", "edges", "_adj", "_rows"):
         with pytest.raises(AttributeError):
             setattr(g, name, None)
     assert g.vertex_profile(2).e_closed == (3,)

@@ -6,7 +6,8 @@ The digests were recorded from the key-by-key serialisers that
 ``setalg.json_value`` replaced, so any byte the encoder moves fails here;
 ``gaps-plan-k700`` and ``plan-br-42-135`` were recorded from
 ``json.dumps(indent=2, sort_keys=True)``, before the CLI wrote its documents
-directly.
+directly, and ``verify-ring-2000`` from graphs that stored each edge at both
+endpoints.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ GOLDEN = {
     "plan-br-42-135": (0, "84ad57ae8290caccca301c4844330c1163bd52d1b494ed3c333b9962d011b02e"),
     "verify-pass": (0, "4ed9ccc1b010a70380d1be6f8461d29a76d2eba0763cdb6be3f5f6513cab2610"),
     "verify-path-30": (1, "aa784705febb90b63607507b428661566270255dd7bd547f7fc7b8c48200eef6"),
+    "verify-ring-2000": (1, "5f531a3f0ad32d6bdf9fe8c63fde0503bc048918e07d45ee9511b10fb0e15292"),
     "search-z8": (0, "7b06fff6a4ca0ac89198ad08bcf57c34b29042479567c0cd6fa651bcf37adaff"),
     "search-z100-greedy": (0, "617fb7e6a66ec7c2275037bf16eb8c758b20bb3842685f64b77467d402a41ec6"),
 }
@@ -61,12 +63,18 @@ def _output(case, tmp_path, capsys) -> tuple[int, bytes]:
         rc = main(["gaps-plan", *GAPS_FLAGS[case], "--out", str(out)])
     elif case.startswith("verify-"):
         graph = tmp_path / "g.json"
+        sequence = []
         if case == "verify-pass":
             assert main(["construct-br", "--b", "4", "--r", "5", "--out", str(graph)]) == 0
+        elif case == "verify-ring-2000":
+            # Sparse enough that the profile pass takes the dict kernel.
+            assert main(["cayley", "--group", "z:2000", "--class", "1=1;1999",
+                         "--class", "2=2;1998;3;1997", "--out", str(graph)]) == 0
+            sequence = ["--sequence", "2,4"]
         else:
             graph.write_text(_path_graph_json(), encoding="utf-8")
         capsys.readouterr()
-        rc = main(["verify", "--in", str(graph)])
+        rc = main(["verify", "--in", str(graph), *sequence])
         out.write_text(capsys.readouterr().out, encoding="utf-8")
     else:
         group = "z:8" if case == "search-z8" else "z:100"
@@ -98,6 +106,9 @@ def test_golden_cases_cover_what_they_name(tmp_path, capsys):
     path = cases["verify-path-30"]
     assert path["violation_count"] > 20 and len(path["violations"]) == 20
     assert isinstance(path["e_chain"][0], list)
+    ring = cases["verify-ring-2000"]
+    assert (ring["colour_degrees"], ring["e_chain"]) == ([2, 4], [6, 9])
+    assert ring["violation_count"] == 2000 and ring["violations"][0] == [0, "chain-not-strict"]
     assert cases["search-z8"]["mode"] == "exhaustive"
     assert cases["search-z100-greedy"]["mode"] == "greedy"
 

@@ -544,6 +544,25 @@ def test_build_gaps_sizes_the_amplifier_before_its_assignments():
     assert peak < 5 * 10**6, peak
 
 
+def test_amplify_peak_memory():
+    """The (4, 5) prefix, the relaxed q = 2, k = 5, t = 1 plan and its build:
+    every graph keeps each edge once and the profile pass copies no
+    adjacency, so the whole chain peaks near 9 MB; keeping each edge at both
+    endpoints takes it near 20 MB. The largest graph is the 3,840-vertex,
+    172,800-edge amplified product."""
+    tracemalloc.start()
+    try:
+        prefix, report = build_br(plan_br(4, 5))
+        plan = _make_gaps_plan(2, 5, report.uniform_e_chain, report.colour_degrees, 1,
+                               prefix.vertex_count, enforce=False)
+        result = build_gaps(plan, prefix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.graph.vertex_count, result.graph._edge_count()) == (3840, 172_800)
+    assert peak < 12 * 10**6, peak
+
+
 def test_build_gaps_profiles_each_vertex_once(monkeypatch):
     """Prefix, layer and core are audited once each; the amplified graph's
     audit reads verify_flip's pass instead of profiling every vertex again."""
