@@ -10,15 +10,19 @@ every file (--plan-out, --out, --dot, in that order) and then stdout, so an
 exit 2 leaves stdout empty. A call whose first argument names a subcommand
 parses the rest with that subcommand's parser alone, ``flipforge NAME``, the
 prog the full tree gives it, so its help and its own errors read the same.
-The full tree, the top-level parser with all nine subcommands, is built only
-for argv that names none (help, no command, an unknown command, an option
-first) and for argv that leaves arguments over, whose usage and
-'unrecognized arguments' text the top-level parser prints.
+Each subcommand's parser is built on its first call in a process and reused
+by every later call that names it, so a caller that runs ``main`` many times
+builds it once. The full tree, the top-level parser with all nine
+subcommands, is built only for argv that names none (help, no command, an
+unknown command, an option first) and for argv that leaves arguments over,
+whose usage and 'unrecognized arguments' text the top-level parser prints;
+it is built anew on every such call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -312,18 +316,18 @@ def _configure_search_sumfree(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=_cmd_search_sumfree)
 
 
-# (name, help line, configure), in the order of the top-level usage and help.
-_COMMANDS = (
-    ("construct-br", "two-colour Cayley construction for degrees (b, r)", _configure_construct_br),
-    ("verify", "run the flip verifier on a graph JSON file", _configure_verify),
-    ("product", "coloured strong or Cartesian product", _configure_product),
-    ("cayley", "Cayley graph from colour classes", _configure_cayley),
-    ("pack", "pack two connecting-set JSON files into one Cayley graph", _configure_pack),
-    ("merge", "merge colour classes of a graph", _configure_merge),
-    ("bounds", "order-bound table rows for given b values", _configure_bounds),
-    ("gaps-plan", "plan the amplified construction and certify its chains", _configure_gaps_plan),
-    ("search-sumfree", "search sum-free inverse-closed subsets", _configure_search_sumfree),
-)
+# name: (help line, configure), in the order of the top-level usage and help.
+_COMMANDS = {
+    "construct-br": ("two-colour Cayley construction for degrees (b, r)", _configure_construct_br),
+    "verify": ("run the flip verifier on a graph JSON file", _configure_verify),
+    "product": ("coloured strong or Cartesian product", _configure_product),
+    "cayley": ("Cayley graph from colour classes", _configure_cayley),
+    "pack": ("pack two connecting-set JSON files into one Cayley graph", _configure_pack),
+    "merge": ("merge colour classes of a graph", _configure_merge),
+    "bounds": ("order-bound table rows for given b values", _configure_bounds),
+    "gaps-plan": ("plan the amplified construction and certify its chains", _configure_gaps_plan),
+    "search-sumfree": ("search sum-free inverse-closed subsets", _configure_search_sumfree),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -333,22 +337,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build, verify and tabulate flip-coloured graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, configure in _COMMANDS:
+    for name, (help_text, configure) in _COMMANDS.items():
         configure(sub.add_parser(name, help=help_text))
+    return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser alone, with the prog the full tree gives
+    it. It is built on the first call in a process and then reused: parsing
+    leaves a parser unchanged and writes only to the namespace it returns."""
+    parser = argparse.ArgumentParser(prog="flipforge " + name)
+    _COMMANDS[name][1](parser)
     return parser
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """``argv`` parsed by the subcommand's parser alone when ``argv[0]`` names
-    one and it takes every argument, else by the full tree."""
-    for name, _, configure in _COMMANDS:
-        if argv and argv[0] == name:
-            parser = argparse.ArgumentParser(prog="flipforge " + name)
-            configure(parser)
-            args, rest = parser.parse_known_args(argv[1:])
-            if not rest:
-                return args
-            break
+    one and it takes every argument, else by the full tree. Each subcommand's
+    parser is built once per process (``_command_parser``); the full tree is
+    built anew on every call that needs it."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
     return _build_parser().parse_args(argv)
 
 

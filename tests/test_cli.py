@@ -149,19 +149,51 @@ def test_every_output_matches_the_parser_with_all_subcommands(tmp_path, capsys, 
         assert mine[0] == code, argv
 
 
-@pytest.mark.parametrize("argv, built", [(["verify", "--in", "F"], 1), (["--help"], 10),
-                                         (["bounds", "--b", "4", "--extra"], 11)],
-                         ids=["named", "help", "left-over"])
-def test_main_builds_the_full_tree_only_when_needed(capsys, monkeypatch, argv, built):
-    """One parser for a named subcommand that takes every argument; the top
-    level and all nine subcommands for help, and for arguments left over."""
+@pytest.mark.parametrize("argv, calls, built", [
+    (["verify", "--in", "F"], 1, 1), (["--help"], 1, 10),
+    (["bounds", "--b", "4", "--extra"], 1, 11), (["verify", "--in", "F"], 2, 1),
+], ids=["named", "help", "left-over", "repeated"])
+def test_main_builds_the_full_tree_only_when_needed(capsys, monkeypatch, argv, calls, built):
+    """One parser for a named subcommand that takes every argument, built on
+    its first call in a process and reused; the top level and all nine
+    subcommands for help, and for arguments left over. The count starts from
+    an empty cache, so it does not depend on which tests ran before."""
+    cli._command_parser.cache_clear()
     parsers = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *args, **kw: parsers.append(self) or init(self, *args, **kw))
     monkeypatch.setattr(sys, "argv", ["flipforge", *argv])
-    outcome(capsys, None)
+    for _ in range(calls):
+        outcome(capsys, None)
     assert len(parsers) == built
+
+
+def test_a_reused_parser_keeps_nothing_from_earlier_calls(capsys):
+    """Each argv gives the same exit code, stdout and stderr on every call:
+    twice in one order, then again from an empty cache in reverse order.
+    The repeated --class checks that 'append' starts from an empty list."""
+    one_class = ["cayley", "--group", "z:7", "--class", "1=1;6"]
+    sequence = [
+        one_class, [*one_class, "--class", "2=2;5"], one_class,
+        ["bounds", "--b", "x"], ["bounds", "--b", "4,5"], ["bounds", "--b", "4,5", "--extra"],
+        ["verify", "--help"], ["verify", "--in"],
+        ["search-sumfree", "--group", "z:7", "--mode", "nope"], ["search-sumfree", "--group", "z:7"],
+    ]
+    results = {}
+
+    def run_all(argvs):
+        for argv in argvs:
+            results.setdefault(tuple(argv), []).append(outcome(capsys, argv))
+
+    run_all(sequence)
+    run_all(sequence)
+    cli._command_parser.cache_clear()
+    run_all(sequence[::-1])
+    codes = [0, 0, 2, 0, 2, 0, 2, 2, 0]
+    for (argv, got), code in zip(results.items(), codes, strict=True):
+        assert got == [got[0]] * len(got), argv
+        assert got[0][0] == code, argv
 
 
 def test_verify_round_trip(tmp_path, capsys):
