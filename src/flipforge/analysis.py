@@ -183,16 +183,14 @@ def bounds_table(b_values: Sequence[int]) -> list[tuple[int, int, Optional[int],
     for b in b_values:
         if b < 3:
             raise ValueError(f"b >= 3 required in bounds table, got b={b}")
-    row_count = sum(new_bound_cap(b) - b - 1 if b >= 4 else 2 for b in b_values)
+    # The new cap, b + 2 floor((b + 2) / 6)^2, is at most
+    # b + (b + 2)^2 / 18 <= b (b + 1) / 2, so the old bound holds on every row.
+    r_ranges = [range(b + 1, new_bound_cap(b)) if b > 3 else range(4, 6) for b in b_values]
+    row_count = sum(map(len, r_ranges))
     if row_count > ENUMERATION_LIMIT:
         raise ValueError(
             f"bounds table would have {row_count} rows, over the limit {ENUMERATION_LIMIT}")
-    rows: list[tuple[int, int, Optional[int], Optional[int]]] = []
-    for b in b_values:
-        # The new cap, b + 2 floor((b + 2) / 6)^2, is at most
-        # b + (b + 2)^2 / 18 <= b (b + 1) / 2, so the old bound holds on every row.
-        rows += _bound_rows(b, range(b + 1, new_bound_cap(b)) if b > 3 else (4, 5))
-    return rows
+    return [row for b, r_values in zip(b_values, r_ranges) for row in _bound_rows(b, r_values)]
 
 
 def bounds_to_csv(rows: Sequence[tuple[int, int, Optional[int], Optional[int]]]) -> str:
@@ -220,14 +218,9 @@ class SearchResult(_Record):
 def _atoms(spec: GroupSpec) -> Iterator[tuple[GroupElement, int]]:
     """Inverse-closed building blocks {x, -x} as (x, index bitset), in element
     order, involutions as singletons and the identity left out. x is the i-th
-    element and -x the j-th; each atom is listed once, at its first element.
-    j is read from one list, as ``_negate_bits`` finds -S: the reversed index
-    list holds at residue y the index of f-1-y, so translated by f-1 (read at
-    y-1) it holds the index of -y."""
-    spec.check_enumerable()  # before the |G|-entry list
-    negated = spec._translate_list(list(range(spec.order - 1, -1, -1)),
-                                   tuple(f - 1 for f in spec.factors))
-    for i, (x, j) in enumerate(zip(spec.elements(), negated)):
+    element and -x the j-th (``GroupSpec._negation``); each atom is listed
+    once, at its first element."""
+    for i, (x, j) in enumerate(zip(spec.elements(), spec._negation())):
         if 0 < i <= j:
             yield x, 1 << i | 1 << j
 
@@ -267,7 +260,6 @@ def search_sumfree_inverse_closed(
     if mode == "exhaustive" and spec.order > EXHAUSTIVE_ORDER_CAP:
         raise ValueError(
             f"exhaustive mode needs group order <= {EXHAUSTIVE_ORDER_CAP}, got {spec.order}")
-    spec.check_enumerable()  # before the translation's |G|-bit masks
     translate = spec._translate_bits
     examined, exhausted = 0, False
     if mode == "exhaustive":

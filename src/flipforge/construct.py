@@ -149,7 +149,7 @@ def merge_connecting_sets(
     a = first.union_elements()
     b = second.union_elements()
     if not a.is_disjoint(b):
-        overlap = sorted(a.elements & b.elements)[:4]
+        overlap = list(GroupSubset(a.spec, a.bits & b.bits).elements[:4])
         raise ValueError(f"packing undefined, classes overlap at {overlap}")
     merged: dict[int, GroupSubset] = dict(first.classes)
     for colour, subset in second.classes:

@@ -194,6 +194,13 @@ class GroupSpec(_Record):
         ones = (1,) * len(self._blocks)  # the order is checked before the |G|-digit string
         return self._translate_bits(int(bin(bits)[2:].zfill(self.order)[::-1], 2), ones)
 
+    def _negation(self) -> list[int]:
+        """Entry i is the index of -x, x the i-th element: as in ``_negate_bits``, the reversed
+        index list holds at residue y the index of f-1-y, so translated by f-1 it holds that of -y."""
+        self.check_enumerable()  # before the |G|-entry list
+        return self._translate_list(list(range(self.order - 1, -1, -1)),
+                                    tuple(f - 1 for f in self.factors))
+
     def _translate_list(self, items: list, x: GroupElement) -> list:
         """Entry i becomes items[index of element i + x]: each factor's blocks rotated by its residue."""
         for y, (f, inner, _) in zip(x, self._blocks):
@@ -241,8 +248,3 @@ def parse_group_text(text: str) -> GroupSpec:
     except ValueError:
         raise ValueError(f"malformed group spec {text!r}") from None
     return GroupSpec(head + factors)
-
-
-def format_elements(elements: Iterable[GroupElement]) -> list[list[int]]:
-    """Serialize elements as sorted integer arrays."""
-    return [list(e) for e in sorted(elements)]

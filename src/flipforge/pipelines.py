@@ -542,7 +542,10 @@ def build_gaps(
     product's order, 2 * part_size * |core|, fits within materialize_limit;
     the product's audit reads the single per-vertex profile pass of
     verify_flip, whose report must show the predicted degrees and a uniform
-    closed-count chain equal to the predicted one.
+    closed-count chain equal to the predicted one. The limit counts vertices
+    only: a product within it is still refused by the edge limit when its
+    edges pass 10^6, as the relaxed (4, 5), q = 2, k = 5 plan's is at t = 5
+    (11,520 vertices, 1,416,960 edges).
     """
     if materialize_limit < 0:
         raise ValueError(f"materialize_limit must be >= 0, got {materialize_limit}")

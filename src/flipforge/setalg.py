@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .group import ElementLike, GroupElement, GroupSpec, _Record, cyclic, format_elements
+from .group import ElementLike, GroupElement, GroupSpec, _Record, cyclic
 
 __all__ = ["GroupSubset", "IntervalSumsetReport", "ResidueInterval", "interval_sumset_check",
            "inverses", "is_inverse_closed", "is_sum_free", "json_value", "sumset"]
@@ -37,15 +37,15 @@ class GroupSubset(_Record):
         return GroupSubset(spec, int.from_bytes(octets, "little"))
 
     @property
-    def elements(self) -> frozenset[GroupElement]:
-        """The members as residue tuples, decoded from the set bits alone."""
+    def elements(self) -> tuple[GroupElement, ...]:
+        """The members' residue tuples in index order (sorted order), decoded from the bits alone."""
         digits = bin(self.bits)[:1:-1]  # digits[i] is bit i
         indices = []
         index = digits.find("1")
         while index >= 0:
             indices.append(index)
             index = digits.find("1", index + 1)
-        return frozenset(self.spec._elements_at(indices))
+        return tuple(self.spec._elements_at(indices))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -66,7 +66,7 @@ def json_value(obj: object) -> object:
     """The JSON form of a plan, report or value: a record as {field name: value}
     in field declaration order (properties are not fields, so they are left
     out), tuples and lists as lists, a GroupSpec as its text, a GroupSubset as
-    its sorted residue arrays. Anything else is returned as it is."""
+    its members' residue arrays in index order. Anything else is returned as it is."""
     return _json_value(obj)
 
 
@@ -76,7 +76,7 @@ def _json_value(obj: object) -> object:
         # Ints, nearly every item of a plan's per-colour vectors, skip the call.
         return [x if type(x) is int else _json_value(x) for x in obj]
     if isinstance(obj, GroupSubset):
-        return format_elements(obj.elements)
+        return [list(e) for e in obj.elements]
     if isinstance(obj, GroupSpec):
         return obj.to_text()
     if isinstance(obj, _Record):

@@ -120,8 +120,8 @@ def test_connecting_set_accessors():
     ccs = ColouredConnectingSet.of(
         Z7, {1: GroupSubset.of(Z7, [1, 6]), 2: GroupSubset.of(Z7, [2, 5])})
     assert ccs.colour_count == 2
-    assert sorted(dict(ccs.classes)[2].elements) == [(2,), (5,)]
-    assert sorted(ccs.union_elements().elements) == [(1,), (2,), (5,), (6,)]
+    assert dict(ccs.classes)[2].elements == ((2,), (5,))
+    assert ccs.union_elements().elements == ((1,), (2,), (5,), (6,))
 
 
 def test_connecting_set_json_round_trip():
@@ -286,11 +286,24 @@ def test_merge_connecting_sets():
     b = ColouredConnectingSet.of(Z7, {1: GroupSubset.of(Z7, [2, 5])})
     c = ColouredConnectingSet.of(Z7, {2: GroupSubset.of(Z7, [2, 5])})
     merged = merge_connecting_sets(a, b)  # same colour, disjoint: union
-    assert sorted(dict(merged.classes)[1].elements) == [(1,), (2,), (5,), (6,)]
+    assert dict(merged.classes)[1].elements == ((1,), (2,), (5,), (6,))
     merged2 = merge_connecting_sets(a, c)
     assert sorted(dict(merged2.classes)) == [1, 2]
     with pytest.raises(ValueError):
         merge_connecting_sets(b, c)  # same elements on two colours
+
+
+@pytest.mark.parametrize("shared, named", [
+    ([(1, 3), (0, 1), (1, 1), (0, 3)], "[(0, 1), (0, 3), (1, 1), (1, 3)]"),
+    ([(1, 3), (1, 1), (1, 0), (0, 3), (0, 2), (0, 1)], "[(0, 1), (0, 2), (0, 3), (1, 0)]"),
+])
+def test_merge_names_the_four_lowest_shared_elements(shared, named):
+    spec = GroupSpec((2, 4))
+    first = ColouredConnectingSet.of(spec, {1: GroupSubset.of(spec, shared)})
+    second = ColouredConnectingSet.of(spec, {2: GroupSubset.of(spec, shared + [(1, 2)])})
+    with pytest.raises(ValueError) as info:
+        merge_connecting_sets(first, second)
+    assert str(info.value) == "packing undefined, classes overlap at " + named
 
 
 # ---------------------------------------------------------------------- products

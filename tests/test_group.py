@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from flipforge.group import GroupSpec, cyclic, format_elements, parse_group_text
-from flipforge.setalg import GroupSubset, sumset
+from flipforge.group import GroupSpec, cyclic, parse_group_text
+from flipforge.setalg import GroupSubset, json_value, sumset
 
 
 def plus(spec, x, y):
@@ -36,7 +36,7 @@ def test_factors_given_as_a_list_are_kept_as_a_tuple():
     assert listed == tupled
     assert hash(listed) == hash(tupled)
     subsets = GroupSubset.of(listed, [(1, 1)]), GroupSubset.of(tupled, [(0, 1)])
-    assert sumset(*subsets).elements == {(1, 2)}
+    assert sumset(*subsets).elements == ((1, 2),)
 
 
 def test_element_coercion():
@@ -116,6 +116,6 @@ def test_to_text_round_trip():
         assert str(spec) == spec.to_text()
 
 
-def test_format_elements_sorted():
-    out = format_elements({(1, 0), (0, 2), (0, 1)})
+def test_json_value_lists_a_subset_in_index_order():
+    out = json_value(GroupSubset.of(GroupSpec((2, 3)), [(1, 0), (0, 2), (0, 1)]))
     assert out == [[0, 1], [0, 2], [1, 0]]

@@ -12,6 +12,7 @@ from flipforge.construct import ColouredConnectingSet
 from flipforge.ecgraph import EdgeColouredGraph
 from flipforge.group import GroupSpec, cyclic
 from flipforge.pipelines import (
+    DEFAULT_MATERIALIZE_LIMIT,
     VerificationError,
     _layer_classes,
     _layer_sizes,
@@ -39,15 +40,15 @@ def test_plan_br_4_5():
     assert (plan.red_base.lo, plan.red_base.hi) == (6, 7)
     assert (plan.blue_base.lo, plan.blue_base.hi) == (9, 9)
     assert (plan.blue_double.lo, plan.blue_double.hi) == (9, 9)
-    assert sorted(plan.blue_set.elements) == [(9,), (18,), (22,), (31,)]
-    assert sorted(plan.red_set.elements) == [(6,), (7,), (20,), (33,), (34,)]
+    assert plan.blue_set.elements == ((9,), (18,), (22,), (31,))
+    assert plan.red_set.elements == ((6,), (7,), (20,), (33,), (34,))
 
 
 def test_plan_br_6_7():
     plan = plan_br(6, 7)
     assert plan.n == 56
-    assert sorted(plan.blue_set.elements) == [(12,), (13,), (26,), (30,), (43,), (44,)]
-    assert sorted(plan.red_set.elements) == [(8,), (9,), (10,), (28,), (46,), (47,), (48,)]
+    assert plan.blue_set.elements == ((12,), (13,), (26,), (30,), (43,), (44,))
+    assert plan.red_set.elements == ((8,), (9,), (10,), (28,), (46,), (47,), (48,))
     # the doubling interval is the top of the blue base
     assert (plan.blue_base.lo, plan.blue_base.hi) == (12, 13)
     assert (plan.blue_double.lo, plan.blue_double.hi) == (13, 13)
@@ -188,9 +189,9 @@ def test_layer_classes_9_2():
     ccs = _layer_classes(9, 2)
     assert ccs.spec == GroupSpec((2, 2, 20))
     assert ccs.colour_count == 8
-    got = {c: sorted(subset.elements) for c, subset in ccs.classes}
-    assert got[3] == [(0, 0, 7), (0, 0, 8), (0, 0, 9), (0, 0, 11), (0, 0, 12), (0, 0, 13)]
-    assert got[8] == [(1, 0, 10)]
+    got = {c: subset.elements for c, subset in ccs.classes}
+    assert got[3] == ((0, 0, 7), (0, 0, 8), (0, 0, 9), (0, 0, 11), (0, 0, 12), (0, 0, 13))
+    assert got[8] == ((1, 0, 10),)
     # odd-sized classes end on an involution
     assert got[4][0] == (0, 0, 10)
     last = got[6][-1]
@@ -524,6 +525,19 @@ def test_build_gaps_sizes_the_product_before_building_it(monkeypatch):
     assert result.materialized is False
     assert result.g_order == 3_841_920
     assert result.graph is None
+
+
+def test_build_gaps_under_the_vertex_limit_can_pass_the_edge_limit():
+    """The default materialize_limit counts vertices only: at t = 5 the
+    11,520-vertex product is refused by the edge limit instead of being left
+    unmaterialised."""
+    prefix, report = build_br(plan_br(4, 5))
+    plan = _make_gaps_plan(2, 5, report.uniform_e_chain, report.colour_degrees, 5,
+                           prefix.vertex_count, enforce=False)
+    assert plan.order_estimate == 11_520 <= DEFAULT_MATERIALIZE_LIMIT
+    with pytest.raises(ValueError) as info:
+        build_gaps(plan, prefix)
+    assert str(info.value) == "product would have 1416960 edges, over the limit 1000000"
 
 
 def test_build_gaps_sizes_the_amplifier_before_its_assignments():

@@ -1,5 +1,6 @@
 """Subset algebra and the symmetrised interval disjointness check."""
 
+import math
 import random
 
 import pytest
@@ -30,14 +31,14 @@ def random_subset(rng, spec, max_size=8):
 def test_subset_of_reduces_and_dedups():
     s = GroupSubset.of(cyclic(10), [3, 13, -7])
     assert len(s) == 1
-    assert sorted(s.elements) == [(3,)]
+    assert s.elements == ((3,),)
 
 
 def test_subset_operations():
     spec = cyclic(9)
     a = GroupSubset.of(spec, [1, 2])
     b = GroupSubset.of(spec, [2, 3])
-    assert sorted(a.union(b).elements) == [(1,), (2,), (3,)]
+    assert a.union(b).elements == ((1,), (2,), (3,))
     assert not a.is_disjoint(b)
     assert a.is_disjoint(GroupSubset.of(spec, [4]))
     assert not a.contains_identity()
@@ -51,7 +52,7 @@ def test_subset_bits_stay_inside_the_group():
             GroupSubset(spec, bad)
     top = GroupSubset(spec, 1 << 4)
     assert len(top) == 1
-    assert top.elements == {(4,)}
+    assert top.elements == ((4,),)
     assert top == GroupSubset.of(spec, [4])
     assert len(GroupSubset(spec, 0)) == 0
 
@@ -87,17 +88,45 @@ def test_sumset_against_direct_enumeration(case):
         return tuple(-p % n for p, n in zip(x, spec.factors))
 
     sa, sb = GroupSubset.of(spec, a), GroupSubset.of(spec, b)
-    assert sa.elements == a and sb.elements == b
+    assert sa.elements == tuple(sorted(a)) and sb.elements == tuple(sorted(b))
     assert len(sa) == len(a)
-    assert sa.union(sb).elements == a | b
+    assert sa.union(sb).elements == tuple(sorted(a | b))
     assert sa.is_disjoint(sb) == (not a & b)
     assert sa.contains_identity() == ((0,) * len(spec.factors) in a)
-    assert sumset(sa, sb).elements == {add(x, y) for x in a for y in b}
+    assert sumset(sa, sb).elements == tuple(sorted({add(x, y) for x in a for y in b}))
     minus_a = {neg(x) for x in a}
-    assert inverses(sa).elements == minus_a
+    assert inverses(sa).elements == tuple(sorted(minus_a))
     assert is_inverse_closed(sa) == (a == minus_a)
     assert is_inverse_closed(GroupSubset.of(spec, a | minus_a))
     assert is_sum_free(sa) == (not {add(x, y) for x in a for y in a} & a)
+
+
+@st.composite
+def small_group_subsets(draw):
+    """2-4 cyclic factors of order <= 200 and a random subset of the group."""
+    factors = []
+    for left in reversed(range(draw(st.integers(2, 4)))):
+        # Leave at least 2 for each factor still to be drawn.
+        factors.append(draw(st.integers(2, 200 // math.prod(factors) // 2 ** left)))
+    spec = GroupSpec(tuple(factors))
+    return spec, GroupSubset(spec, draw(st.integers(0, 2 ** spec.order - 1)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_group_subsets())
+def test_elements_come_in_index_order_and_negation_follows_the_residues(case):
+    """Members are listed strictly increasing and encode back to the subset;
+    entry i of the negation table is the index of -x_i, as -{x_i} finds it."""
+    spec, s = case
+    assert all(x < y for x, y in zip(s.elements, s.elements[1:]))
+    assert GroupSubset.of(spec, s.elements) == s
+    elements = list(spec.elements())
+    index = {x: i for i, x in enumerate(elements)}
+    negation = spec._negation()
+    for i, x in enumerate(elements):
+        j = index[tuple(-y % f for y, f in zip(x, spec.factors))]
+        assert negation[i] == j
+        assert spec._negate_bits(1 << i) == 1 << j
 
 
 def test_inverses_and_closure():
@@ -130,7 +159,7 @@ def test_small_subset_of_a_large_group_never_lists_the_group(monkeypatch, spec, 
 
     monkeypatch.setattr(GroupSpec, "elements", refuse)
     s = GroupSubset.of(spec, members)
-    assert s.elements == {spec.element(x) for x in members}
+    assert s.elements == tuple(sorted(spec.element(x) for x in members))
     assert is_sum_free(s) == sum_free
 
 
@@ -155,7 +184,7 @@ def test_residue_interval_validation():
 
 def test_interval_elements():
     got = interval_elements(ResidueInterval(40, 6, 8))
-    assert sorted(got.elements) == [(6,), (7,), (8,)]
+    assert got.elements == ((6,), (7,), (8,))
     assert got.spec == cyclic(40)
 
 
